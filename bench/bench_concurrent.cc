@@ -29,6 +29,7 @@
 #include "storage/database.h"
 #include "util/fsutil.h"
 #include "util/thread_pool.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -52,8 +53,7 @@ bool FillDatabase(LocalDbClient* client) {
     std::string sql = "INSERT INTO wide VALUES ";
     for (int i = base; i < base + 500; ++i) {
       if (i != base) sql += ",";
-      sql += "(" + std::to_string(i) + "," + std::to_string(i % 97) + "," +
-             std::to_string(i % 1000) + ")";
+      sql += ldv::StrFormat("(%d,%d,%d)", i, i % 97, i % 1000);
     }
     if (!client->Query(sql).ok()) return false;
   }

@@ -28,6 +28,7 @@
 #include "storage/database.h"
 #include "util/fsutil.h"
 #include "util/thread_pool.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -57,8 +58,7 @@ bool FillDatabase(LocalDbClient* client) {
   std::string sql = "INSERT INTO items VALUES ";
   for (int i = 0; i < kRows; ++i) {
     if (i > 0) sql += ",";
-    sql += "(" + std::to_string(i) + "," + std::to_string(i % 8) + "," +
-           std::to_string(i % 100) + ",'row" + std::to_string(i % 10) + "')";
+    sql += ldv::StrFormat("(%d,%d,%d,'row%d')", i, i % 8, i % 100, i % 10);
   }
   return client->Query(sql).ok();
 }

@@ -23,6 +23,7 @@
 #include "exec/executor.h"
 #include "storage/database.h"
 #include "util/fsutil.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -45,9 +46,8 @@ bool Fill(Executor* exec) {
     std::string sql = "INSERT INTO t VALUES ";
     for (int i = base; i < base + 500; ++i) {
       if (i != base) sql += ",";
-      sql += "(" + std::to_string(i) + "," + std::to_string(i % 97) + "," +
-             std::to_string(i % 1000) + ".25,'t" + std::to_string(i % 13) +
-             "')";
+      sql += ldv::StrFormat("(%d,%d,%d.25,'t%d')", i, i % 97, i % 1000,
+                            i % 13);
     }
     if (!exec->Execute(sql, options).ok()) return false;
   }
@@ -56,7 +56,7 @@ bool Fill(Executor* exec) {
   std::string insert = "INSERT INTO d VALUES ";
   for (int k = 0; k < kDims; ++k) {
     if (k > 0) insert += ",";
-    insert += "(" + std::to_string(k) + "," + std::to_string(k) + ".5)";
+    insert += ldv::StrFormat("(%d,%d.5)", k, k);
   }
   return exec->Execute(insert, options).ok();
 }

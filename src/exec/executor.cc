@@ -79,7 +79,7 @@ std::vector<ProvTupleRecord> CollectProvTuples(const ExecContext& ctx,
     rec.vid = vid;
     const Table* table = db.FindTableById(vid.table_id);
     rec.table = table != nullptr ? table->name() : "?";
-    rec.values = values;
+    rec.values = *values;
     out.push_back(std::move(rec));
   }
   std::sort(out.begin(), out.end(),
@@ -364,7 +364,7 @@ Result<ResultSet> Executor::ExecSelect(const sql::SelectStmt& select,
         MergeLineage(&set, ambient_lineage);
       }
       for (const ProvTupleRecord& rec : ambient) {
-        ctx.prov_tuples.emplace(rec.vid, rec.values);
+        ctx.prov_tuples.emplace(rec.vid, &rec.values);
       }
     }
     // Scans cache every tuple that passed their local filter, but the

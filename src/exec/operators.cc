@@ -213,7 +213,7 @@ Status ScanNode::EmitRow(ExecContext* ctx, RowVersion* row, Batch* out,
     row->used_by_query = ctx->query_id;
     row->used_by_process = ctx->process_id;
     out->lineage.push_back({vid});
-    prov->emplace_back(vid, row->values);
+    prov->emplace_back(vid, &row->values);
   }
   out->rows.push_back(std::move(values));
   return Status::Ok();
@@ -309,17 +309,12 @@ Result<Batch> ScanNode::ExecuteImpl(ExecContext* ctx) {
             return Status::Ok();
           }));
       out = ConcatBatches(std::move(parts));
-      size_t total = 0;
-      for (const ProvRecords& records : part_prov) total += records.size();
-      prov.reserve(total);
-      for (ProvRecords& records : part_prov) {
-        std::move(records.begin(), records.end(), std::back_inserter(prov));
+      for (const ProvRecords& records : part_prov) {
+        ctx->prov_tuples.insert(records.begin(), records.end());
       }
     }
   }
-  for (auto& [vid, values] : prov) {
-    ctx->prov_tuples.emplace(vid, std::move(values));
-  }
+  ctx->prov_tuples.insert(prov.begin(), prov.end());
   return out;
 }
 

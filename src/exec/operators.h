@@ -35,7 +35,11 @@ struct ExecContext {
   LineageSet ambient_lineage;
   /// Values of every tuple version that appeared in some lineage set,
   /// collected so the caller can persist provenance without re-querying.
-  std::unordered_map<storage::TupleVid, storage::Tuple, storage::TupleVidHash>
+  /// Points at the scanned row versions themselves: a lineage-tracked
+  /// statement runs with the tables it reads held still, and
+  /// CollectProvTuples copies the values out before ExecSelect returns.
+  std::unordered_map<storage::TupleVid, const storage::Tuple*,
+                     storage::TupleVidHash>
       prov_tuples;
   /// Worker pool for morsel-parallel operators; null or dop <= 1 runs every
   /// operator on the calling thread (the decomposition stays the same, so
@@ -207,7 +211,8 @@ class ScanNode final : public PlanNode {
  private:
   /// Tuple versions a morsel's rows contributed to lineage; merged into
   /// ExecContext::prov_tuples after the (possibly parallel) scan finishes.
-  using ProvRecords = std::vector<std::pair<storage::TupleVid, storage::Tuple>>;
+  using ProvRecords =
+      std::vector<std::pair<storage::TupleVid, const storage::Tuple*>>;
 
   Status EmitRow(ExecContext* ctx, storage::RowVersion* row, Batch* out,
                  ProvRecords* prov);

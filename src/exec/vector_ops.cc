@@ -169,7 +169,7 @@ Result<ColumnarResult> ScanNode::ExecuteColumnarImpl(ExecContext* ctx) {
   // row-at-a-time — correctness never depends on the data being clean.
   std::atomic<bool> strict_abort{false};
 
-  using ProvRecords = std::vector<std::pair<TupleVid, Tuple>>;
+  using ProvRecords = std::vector<std::pair<TupleVid, const Tuple*>>;
   const size_t num_morsels = NumMorsels(n);
   std::vector<ColumnBatch> parts(num_morsels);
   std::vector<ProvRecords> part_prov(num_morsels);
@@ -261,7 +261,7 @@ Result<ColumnarResult> ScanNode::ExecuteColumnarImpl(ExecContext* ctx) {
       row->used_by_query = ctx->query_id;
       row->used_by_process = ctx->process_id;
       part.lineage.push_back({vid});
-      part_prov[morsel].emplace_back(vid, row->values);
+      part_prov[morsel].emplace_back(vid, &row->values);
     };
     if (filter_ == nullptr) {
       part.cols = std::move(cand.cols);
@@ -331,10 +331,8 @@ Result<ColumnarResult> ScanNode::ExecuteColumnarImpl(ExecContext* ctx) {
   out.batches = batches;
   out.columns = ConcatColumnBatches(std::move(parts));
   if (out.columns.cols.empty()) out.columns.cols.resize(ncols);
-  for (ProvRecords& records : part_prov) {
-    for (auto& [vid, values] : records) {
-      ctx->prov_tuples.emplace(vid, std::move(values));
-    }
+  for (const ProvRecords& records : part_prov) {
+    ctx->prov_tuples.insert(records.begin(), records.end());
   }
   return out;
 }

@@ -1,5 +1,6 @@
 #include "ldv/auditing_db_client.h"
 
+#include "common/clock.h"
 #include "ldv/auditor.h"
 #include "net/protocol.h"
 #include "obs/span.h"
@@ -88,6 +89,7 @@ Result<exec::ResultSet> AuditingDbClient::Execute(
   tagged.query_id = record.query_id;
 
   record.t.begin = auditor_->clock_.Tick();
+  const int64_t backend_start = NowNanos();
   exec::ResultSet reenactment;
   if (provenance_capture && is_modification) {
     const std::string& table = parsed.kind == sql::StatementKind::kUpdate
@@ -109,6 +111,9 @@ Result<exec::ResultSet> AuditingDbClient::Execute(
   }
   LDV_ASSIGN_OR_RETURN(exec::ResultSet result, backend_->Execute(tagged));
   record.t.end = auditor_->clock_.Tick();
+  const int64_t bookkeeping_start = NowNanos();
+  auditor_->backend_micros_->Observe((bookkeeping_start - backend_start) /
+                                     1000);
 
   if (provenance_capture && is_modification) {
     // The reenactment query's provenance (the matched pre-state versions)
@@ -127,6 +132,8 @@ Result<exec::ResultSet> AuditingDbClient::Execute(
     record.encoded_response = net::EncodeResponse(Status::Ok(), result);
   }
   LDV_RETURN_IF_ERROR(auditor_->OnDbStatement(record));
+  auditor_->bookkeeping_micros_->Observe((NowNanos() - bookkeeping_start) /
+                                         1000);
 
   // Strip audit artifacts before handing results to the application.
   result.lineage.clear();

@@ -56,7 +56,11 @@ Auditor::Auditor(storage::Database* db, const AuditOptions& options)
       statements_metric_(
           obs::MetricsRegistry::Global().counter("audit.statements")),
       tuples_metric_(
-          obs::MetricsRegistry::Global().counter("audit.tuples_persisted")) {}
+          obs::MetricsRegistry::Global().counter("audit.tuples_persisted")),
+      backend_micros_(obs::MetricsRegistry::Global().latency_histogram(
+          "audit.backend_micros")),
+      bookkeeping_micros_(obs::MetricsRegistry::Global().latency_histogram(
+          "audit.bookkeeping_micros")) {}
 
 Auditor::~Auditor() = default;
 
@@ -204,11 +208,17 @@ Status Auditor::EnsureTableRegistered(const std::string& table_name) {
 
 trace::NodeId Auditor::TupleNode(const TupleVid& vid,
                                  const std::string& table) {
-  return trace_.GetOrAddNode(
-      trace::NodeType::kTuple,
-      StrFormat("%s#%lld.v%lld", table.c_str(),
-                static_cast<long long>(vid.rowid),
-                static_cast<long long>(vid.version)));
+  // A table id names one table for the database's lifetime, so the vid
+  // alone decides the label.
+  auto [it, inserted] = tuple_nodes_.try_emplace(vid, trace::kInvalidNode);
+  if (inserted) {
+    it->second = trace_.GetOrAddNode(
+        trace::NodeType::kTuple,
+        StrFormat("%s#%lld.v%lld", table.c_str(),
+                  static_cast<long long>(vid.rowid),
+                  static_cast<long long>(vid.version)));
+  }
+  return it->second;
 }
 
 Result<std::ofstream*> Auditor::StreamFor(const std::string& relative_path) {

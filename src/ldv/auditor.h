@@ -142,6 +142,9 @@ class Auditor final : public os::OsEventSink, public AppEnv {
   // Tuple versions created by the application itself — excluded from the
   // package (§II / §VII-D).
   std::unordered_set<storage::TupleVid, storage::TupleVidHash> created_vids_;
+  // Trace node of every tuple version seen so far.
+  std::unordered_map<storage::TupleVid, trace::NodeId, storage::TupleVidHash>
+      tuple_nodes_;
   // Tuple versions already persisted (the §VII-D in-memory dedup table).
   std::unordered_set<storage::TupleVid, storage::TupleVidHash> persisted_vids_;
   std::unordered_set<std::string> registered_tables_;
@@ -159,6 +162,10 @@ class Auditor final : public os::OsEventSink, public AppEnv {
   // registry lookup takes a lock).
   obs::Counter* statements_metric_ = nullptr;
   obs::Counter* tuples_metric_ = nullptr;
+  // Per-statement split: the backend round trips (reenactment query plus
+  // the statement) vs trace building and tuple persistence.
+  obs::Histogram* backend_micros_ = nullptr;
+  obs::Histogram* bookkeeping_micros_ = nullptr;
   /// First error raised inside a void callback (OS event sink); surfaced
   /// when the run finishes.
   Status deferred_error_;

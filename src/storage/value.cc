@@ -246,7 +246,9 @@ std::string TupleToText(const Tuple& t) {
   for (size_t i = 0; i < t.size(); ++i) {
     if (i > 0) out += ", ";
     if (t[i].type() == ValueType::kString) {
-      out += "'" + t[i].ToText() + "'";
+      out += '\'';
+      out += t[i].ToText();
+      out += '\'';
     } else if (t[i].is_null()) {
       out += "NULL";
     } else {

@@ -128,7 +128,11 @@ std::string EncodeWalRecord(const WalRecord& record) {
 }
 
 Result<WalSegmentScan> ScanWalSegment(const std::string& path) {
-  LDV_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
+  // Not LDV_ASSIGN_OR_RETURN: GCC 12 at -O3 reports the string moved out
+  // of the Result as maybe-uninitialized (a false positive).
+  Result<std::string> read = ReadFileToString(path);
+  if (!read.ok()) return read.status();
+  const std::string& bytes = *read;
   WalSegmentScan scan;
   scan.file_bytes = bytes.size();
   if (bytes.size() < sizeof(kSegmentMagic) ||

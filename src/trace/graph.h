@@ -1,6 +1,7 @@
 #ifndef LDV_TRACE_GRAPH_H_
 #define LDV_TRACE_GRAPH_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -48,8 +49,8 @@ class TraceGraph {
   /// (Definition 5) forbid it.
   Status AddEdge(NodeId from, NodeId to, EdgeType type, os::Interval t);
 
-  /// Like AddEdge but merges with an existing (from, to, type) edge by
-  /// extending its interval — the PTU convention of annotating a
+  /// Like AddEdge but merges with the most recently added (from, to, type)
+  /// edge by extending its interval — the PTU convention of annotating a
   /// process-file edge with [first open, last close] (§VII-A).
   Status MergeEdge(NodeId from, NodeId to, EdgeType type, os::Interval t);
 
@@ -82,14 +83,17 @@ class TraceGraph {
   std::string ToDot() const;
 
  private:
+  bool InRange(NodeId id) const { return id >= 0 && id < num_nodes(); }
+
   std::vector<TraceNode> nodes_;
   std::vector<TraceEdge> edges_;
   std::vector<std::vector<int32_t>> in_edges_;
   std::vector<std::vector<int32_t>> out_edges_;
-  std::unordered_map<std::string, NodeId> node_index_;  // "type/label" -> id
-  std::unordered_map<NodeId, std::vector<NodeId>> tuple_deps_;
-  // (from, to, type) -> edge index, for MergeEdge.
-  std::unordered_map<std::string, int32_t> edge_index_;
+  /// label -> id, one index per node type.
+  std::array<std::unordered_map<std::string, NodeId>, kNumNodeTypes>
+      node_index_;
+  /// Direct tuple dependencies, indexed by node id.
+  std::vector<std::vector<NodeId>> tuple_deps_;
 };
 
 }  // namespace ldv::trace

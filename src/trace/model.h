@@ -19,6 +19,7 @@ enum class NodeType : uint8_t {
   kDelete = 5,   // activity (DB)
   kTuple = 6,    // entity (DB)
 };
+inline constexpr int kNumNodeTypes = 7;
 
 /// Which provenance model a node belongs to (Definition 5 keeps them
 /// disjoint; cross-model links use the dedicated edge types below).
@@ -36,6 +37,7 @@ enum class EdgeType : uint8_t {
   kRun = 5,          // process -> statement   (combined, Definition 5)
   kReadFromDb = 6,   // tuple -> process       (combined, Definition 5)
 };
+inline constexpr int kNumEdgeTypes = 7;
 
 bool IsActivity(NodeType type);
 inline bool IsEntity(NodeType type) { return !IsActivity(type); }

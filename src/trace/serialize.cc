@@ -49,6 +49,9 @@ Result<TraceGraph> DeserializeTrace(std::string_view bytes) {
   LDV_ASSIGN_OR_RETURN(int64_t num_nodes, r.GetVarint());
   for (int64_t i = 0; i < num_nodes; ++i) {
     LDV_ASSIGN_OR_RETURN(uint8_t type, r.GetU8());
+    if (type >= kNumNodeTypes) {
+      return Status::IOError("unknown node type in serialized trace");
+    }
     LDV_ASSIGN_OR_RETURN(std::string label, r.GetString());
     NodeId id = graph.GetOrAddNode(static_cast<NodeType>(type), label);
     if (id != static_cast<NodeId>(i)) {
@@ -59,7 +62,13 @@ Result<TraceGraph> DeserializeTrace(std::string_view bytes) {
   for (int64_t i = 0; i < num_edges; ++i) {
     LDV_ASSIGN_OR_RETURN(int64_t from, r.GetVarint());
     LDV_ASSIGN_OR_RETURN(int64_t to, r.GetVarint());
+    if (from < 0 || from >= num_nodes || to < 0 || to >= num_nodes) {
+      return Status::IOError("edge endpoint out of range in trace");
+    }
     LDV_ASSIGN_OR_RETURN(uint8_t type, r.GetU8());
+    if (type >= kNumEdgeTypes) {
+      return Status::IOError("unknown edge type in serialized trace");
+    }
     os::Interval t;
     LDV_ASSIGN_OR_RETURN(t.begin, r.GetVarint());
     LDV_ASSIGN_OR_RETURN(t.end, r.GetVarint());
@@ -71,6 +80,10 @@ Result<TraceGraph> DeserializeTrace(std::string_view bytes) {
   for (int64_t i = 0; i < num_pairs; ++i) {
     LDV_ASSIGN_OR_RETURN(int64_t out_tuple, r.GetVarint());
     LDV_ASSIGN_OR_RETURN(int64_t in_tuple, r.GetVarint());
+    if (out_tuple < 0 || out_tuple >= num_nodes || in_tuple < 0 ||
+        in_tuple >= num_nodes) {
+      return Status::IOError("tuple dependency out of range in trace");
+    }
     graph.AddTupleDependency(static_cast<NodeId>(out_tuple),
                              static_cast<NodeId>(in_tuple));
   }

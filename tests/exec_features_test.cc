@@ -6,6 +6,7 @@
 #include "exec/executor.h"
 #include "obs/profile.h"
 #include "storage/database.h"
+#include "util/strings.h"
 
 namespace ldv::exec {
 namespace {
@@ -227,7 +228,7 @@ TEST_F(IndexTest, IndexProbeSpeedsUpPointLookups) {
   std::string values;
   for (int i = 0; i < 20000; ++i) {
     if (i > 0) values += ",";
-    values += "(" + std::to_string(i) + "," + std::to_string(i * 3) + ")";
+    values += StrFormat("(%d,%d)", i, i * 3);
   }
   Run("INSERT INTO big VALUES " + values);
   const std::string query = "SELECT v FROM big WHERE k = 19999";

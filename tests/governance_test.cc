@@ -25,6 +25,7 @@
 #include "obs/metrics.h"
 #include "util/fsutil.h"
 #include "util/thread_pool.h"
+#include "util/strings.h"
 
 namespace ldv::net {
 namespace {
@@ -52,8 +53,7 @@ void FillBigTable(DbClient* client) {
     std::string sql = "INSERT INTO big VALUES ";
     for (int i = base; i < base + kBatch; ++i) {
       if (i != base) sql += ",";
-      sql += "(" + std::to_string(i) + "," + std::to_string(i % 97) + "," +
-             std::to_string(i % 7) + ")";
+      sql += StrFormat("(%d,%d,%d)", i, i % 97, i % 7);
     }
     ASSERT_TRUE(client->Query(sql).ok());
   }

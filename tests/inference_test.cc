@@ -5,6 +5,7 @@
 
 #include "trace/inference.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace ldv::trace {
 namespace {
@@ -188,11 +189,11 @@ RandomTrace MakeRandomTrace(uint64_t seed) {
   int num_procs = static_cast<int>(rng.Uniform(2, 4));
   for (int i = 0; i < num_files; ++i) {
     t.files.push_back(
-        t.g.GetOrAddNode(NodeType::kFile, "f" + std::to_string(i)));
+        t.g.GetOrAddNode(NodeType::kFile, StrFormat("f%d", i)));
   }
   for (int i = 0; i < num_procs; ++i) {
     t.processes.push_back(
-        t.g.GetOrAddNode(NodeType::kProcess, "p" + std::to_string(i)));
+        t.g.GetOrAddNode(NodeType::kProcess, StrFormat("p%d", i)));
   }
   int num_edges = static_cast<int>(rng.Uniform(4, 12));
   for (int i = 0; i < num_edges; ++i) {

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "ldv/auditor.h"
 #include "ldv/replayer.h"
 #include "net/db_server.h"
+#include "tpch/app.h"
+#include "tpch/generator.h"
+#include "tpch/queries.h"
 #include "trace/inference.h"
 #include "trace/serialize.h"
 #include "util/csv.h"
@@ -333,6 +337,132 @@ TEST_F(AuditReplayTest, SocketBackedAuditMatchesInProcessAudit) {
   auto replay = ReplayPackage("sock", TestApp(&replay_fp));
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
   EXPECT_EQ(replay_fp, socket_fp);
+}
+
+// ---------------------------------------------------------------------------
+// Package-byte goldens: FNV-1a hashes of trace.ldv and of every packaged
+// tuple CSV of a server-included audit. Trace-graph indexing and provenance
+// capture are implementation details; the bytes they produce are not.
+// ---------------------------------------------------------------------------
+
+/// Relative path -> FNV-1a of the trace and the tuple CSVs of `package`.
+std::map<std::string, uint64_t> PackageHashes(const std::string& package) {
+  std::map<std::string, uint64_t> out;
+  std::vector<std::string> files = {std::string(kTraceFile)};
+  auto data = ListTree(JoinPath(package, std::string(kTupleDataDir)));
+  EXPECT_TRUE(data.ok()) << data.status().ToString();
+  if (data.ok()) {
+    for (const std::string& f : *data) {
+      files.push_back(std::string(kTupleDataDir) + "/" + f);
+    }
+  }
+  for (const std::string& f : files) {
+    auto bytes = ReadFileToString(JoinPath(package, f));
+    EXPECT_TRUE(bytes.ok()) << f;
+    if (bytes.ok()) out[f] = Fnv1a(*bytes);
+  }
+  return out;
+}
+
+/// Two processes over two tables: repeated reads of the same versions
+/// (hasRead merges), a self-join, a scalar subquery, INSERT ... SELECT,
+/// UPDATE and DELETE with subqueries, and an aggregate with wide lineage.
+AppFn GoldenApp() {
+  return [](AppEnv& env) -> Status {
+    os::ProcessContext& proc = env.root_process();
+    LDV_ASSIGN_OR_RETURN(std::string config,
+                         proc.ReadFile("/input/config.txt"));
+    LDV_ASSIGN_OR_RETURN(net::DbClient * db, env.OpenDbConnection(proc));
+    const char* statements[] = {
+        "INSERT INTO items VALUES (100, 1000, 'new')",
+        "SELECT id, val FROM items WHERE val BETWEEN 30 AND 80",
+        "SELECT id, val FROM items WHERE val BETWEEN 30 AND 80",
+        "SELECT a.id, b.id FROM items a JOIN items b ON a.val = b.val",
+        "SELECT i.id, o.name FROM items i JOIN owners o ON i.id = o.item",
+        "SELECT id FROM items WHERE val > (SELECT avg(val) FROM items)",
+        "INSERT INTO items SELECT id + 200, val, 'copy' FROM items "
+        "WHERE val < 40",
+        "UPDATE items SET val = val + 1 WHERE id = 3",
+        "UPDATE items SET tag = 'hot' WHERE id IN "
+        "(SELECT item FROM owners WHERE name = 'bob')",
+        "DELETE FROM items WHERE id = 9",
+        "SELECT tag, count(*), sum(val) FROM items GROUP BY tag",
+        "SELECT val FROM items WHERE id = 3 OR id = 100",
+    };
+    for (const char* sql : statements) {
+      LDV_RETURN_IF_ERROR(db->Query(sql).status());
+    }
+    LDV_ASSIGN_OR_RETURN(os::ProcessContext * child, proc.Spawn("worker"));
+    LDV_ASSIGN_OR_RETURN(net::DbClient * child_db,
+                         env.OpenDbConnection(*child));
+    LDV_RETURN_IF_ERROR(
+        child_db->Query("SELECT id, val FROM items WHERE val BETWEEN 30 AND 80")
+            .status());
+    LDV_RETURN_IF_ERROR(
+        child_db->Query("SELECT name FROM owners WHERE item < 5").status());
+    LDV_RETURN_IF_ERROR(child->WriteFile("/output/worker.txt", config));
+    return proc.WriteFile("/output/result.txt", "done");
+  };
+}
+
+TEST_F(AuditReplayTest, ServerIncludedPackageBytesAreStable) {
+  auto owners = db_->CreateTable(
+      "owners", storage::Schema({{"item", ValueType::kInt64},
+                                 {"name", ValueType::kString}}));
+  ASSERT_TRUE(owners.ok());
+  int64_t seq = db_->NextStatementSeq();
+  for (int i = 1; i <= 6; ++i) {
+    ASSERT_TRUE((*owners)
+                    ->Insert({Value::Int(i), Value::Str(i % 2 ? "bob" : "amy")},
+                             seq)
+                    .ok());
+  }
+  Auditor auditor(db_.get(), Options(PackageMode::kServerIncluded, "golden"));
+  auto report = auditor.Run(GoldenApp());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const std::map<std::string, uint64_t> want = {
+      {"db/data/items.csv", 5787671253521273809ULL},
+      {"db/data/owners.csv", 3471006902172656373ULL},
+      {"trace.ldv", 8339506582751922608ULL},
+  };
+  EXPECT_EQ(PackageHashes(base_ + "/packages/golden"), want);
+}
+
+TEST(TpchPackageGoldenTest, ServerIncludedQ24PackageBytesAreStable) {
+  auto base = MakeTempDir("ldv_golden_");
+  ASSERT_TRUE(base.ok());
+  Database db;
+  tpch::GenOptions gen;
+  gen.scale_factor = 0.001;
+  ASSERT_TRUE(tpch::Generate(&db, gen).ok());
+  tpch::TpchSizes sizes = tpch::SizesFor(gen.scale_factor);
+  auto q = tpch::FindQuery("Q2-4");
+  ASSERT_TRUE(q.ok());
+  tpch::AppOptions app;
+  app.query_sql = q->sql;
+  app.num_inserts = 20;
+  app.num_selects = 3;
+  app.num_updates = 10;
+  app.insert_orderkey_base = sizes.orders;
+  app.update_orderkey_max = sizes.orders;
+  app.customer_max = sizes.customers;
+
+  AuditOptions options;
+  options.mode = PackageMode::kServerIncluded;
+  options.package_dir = *base + "/pkg";
+  options.sandbox_root = *base + "/sandbox";
+  ASSERT_TRUE(MakeDirs(options.sandbox_root).ok());
+  Auditor auditor(&db, options);
+  auto report = auditor.Run(tpch::MakeExperimentApp(app, nullptr));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const std::map<std::string, uint64_t> want = {
+      {"db/data/customer.csv", 5518013481422717261ULL},
+      {"db/data/lineitem.csv", 9715307445969532529ULL},
+      {"db/data/orders.csv", 16565191337405988250ULL},
+      {"trace.ldv", 4828571655316747628ULL},
+  };
+  EXPECT_EQ(PackageHashes(options.package_dir), want);
+  ASSERT_TRUE(RemoveAll(*base).ok());
 }
 
 TEST_F(AuditReplayTest, AuditRefusesToOverwritePackage) {

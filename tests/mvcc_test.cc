@@ -29,6 +29,7 @@
 #include "txn/rwlock.h"
 #include "txn/snapshot.h"
 #include "util/fsutil.h"
+#include "util/strings.h"
 
 namespace ldv::net {
 namespace {
@@ -314,8 +315,7 @@ TEST(MvccEngineTest, ConcurrentReadsMatchSerialResultsBitForBit) {
     std::string sql = "INSERT INTO big VALUES ";
     for (int i = base; i < base + 500; ++i) {
       if (i != base) sql += ",";
-      sql += "(" + std::to_string(i) + "," + std::to_string(i % 13) + "," +
-             std::to_string(i % 7) + ")";
+      sql += StrFormat("(%d,%d,%d)", i, i % 13, i % 7);
     }
     ASSERT_TRUE(Exec(&engine, 0, sql).ok());
   }
@@ -401,7 +401,7 @@ TEST(MvccEngineTest, TransfersPreserveTheSumUnderSnapshotReads) {
     std::string sql = "INSERT INTO accounts VALUES ";
     for (int i = 0; i < kAccounts; ++i) {
       if (i != 0) sql += ",";
-      sql += "(" + std::to_string(i) + ",100)";
+      sql += StrFormat("(%d,100)", i);
     }
     ASSERT_TRUE(Exec(&engine, 0, sql).ok());
   }
@@ -549,7 +549,7 @@ TEST_F(MvccSocketTest, LongSelectsOverlapAcrossConnections) {
     std::string sql = "INSERT INTO big VALUES ";
     for (int i = base; i < base + 500; ++i) {
       if (i != base) sql += ",";
-      sql += "(" + std::to_string(i) + "," + std::to_string(i % 7) + ")";
+      sql += StrFormat("(%d,%d)", i, i % 7);
     }
     ASSERT_TRUE(local.Query(sql).ok());
   }
@@ -753,7 +753,7 @@ TEST_F(MvccSocketTest, DisconnectWatcherHonorsConfiguredPollInterval) {
     std::string sql = "INSERT INTO big VALUES ";
     for (int i = base; i < base + 500; ++i) {
       if (i != base) sql += ",";
-      sql += "(" + std::to_string(i) + "," + std::to_string(i % 7) + ")";
+      sql += StrFormat("(%d,%d)", i, i % 7);
     }
     ASSERT_TRUE(local.Query(sql).ok());
   }

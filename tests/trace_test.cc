@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "trace/graph.h"
 #include "trace/model.h"
 #include "common/json.h"
 #include "trace/prov_export.h"
 #include "trace/serialize.h"
+#include "util/rng.h"
+#include "util/serde.h"
 
 namespace ldv::trace {
 namespace {
@@ -78,6 +82,7 @@ TEST(TraceGraphTest, EdgeValidation) {
   EXPECT_FALSE(g.AddEdge(proc, file, EdgeType::kReadFrom, {1, 2}).ok());
   EXPECT_FALSE(g.AddEdge(file, proc, EdgeType::kReadFrom, {3, 2}).ok());
   EXPECT_FALSE(g.AddEdge(file, 99, EdgeType::kReadFrom, {1, 2}).ok());
+  EXPECT_FALSE(g.MergeEdge(file, -1, EdgeType::kReadFrom, {1, 2}).ok());
   EXPECT_EQ(g.num_edges(), 1);
   EXPECT_EQ(g.OutEdges(file).size(), 1u);
   EXPECT_EQ(g.InEdges(proc).size(), 1u);
@@ -192,6 +197,172 @@ TEST(TraceSerializeTest, RoundTrip) {
 TEST(TraceSerializeTest, RejectsGarbage) {
   EXPECT_FALSE(DeserializeTrace("not a trace").ok());
   EXPECT_FALSE(DeserializeTrace("").ok());
+}
+
+/// A two-node trace (file A -readFrom-> process P) plus one tuple pair,
+/// written field by field so single bytes can be corrupted.
+struct TraceBytes {
+  uint8_t file_type = static_cast<uint8_t>(NodeType::kFile);
+  uint8_t proc_type = static_cast<uint8_t>(NodeType::kProcess);
+  uint8_t edge_type = static_cast<uint8_t>(EdgeType::kReadFrom);
+  int64_t edge_to = 1;
+  int64_t dep_out = 0;
+  bool with_dep = false;
+
+  std::string Encode() const {
+    BufferWriter w;
+    w.PutU32(0x4C445654);  // "LDVT"
+    w.PutVarint(2);
+    w.PutU8(file_type);
+    w.PutString("A");
+    w.PutU8(proc_type);
+    w.PutString("P");
+    w.PutVarint(1);
+    w.PutVarint(0);
+    w.PutVarint(edge_to);
+    w.PutU8(edge_type);
+    w.PutVarint(1);
+    w.PutVarint(2);
+    w.PutVarint(with_dep ? 1 : 0);
+    if (with_dep) {
+      w.PutVarint(dep_out);
+      w.PutVarint(0);
+    }
+    return w.TakeData();
+  }
+};
+
+TEST(TraceSerializeTest, HandWrittenTraceMatchesSerializer) {
+  TraceGraph g;
+  NodeId a = g.GetOrAddNode(NodeType::kFile, "A");
+  NodeId p = g.GetOrAddNode(NodeType::kProcess, "P");
+  ASSERT_TRUE(g.AddEdge(a, p, EdgeType::kReadFrom, {1, 2}).ok());
+  EXPECT_EQ(SerializeTrace(g), TraceBytes{}.Encode());
+  EXPECT_TRUE(DeserializeTrace(TraceBytes{}.Encode()).ok());
+}
+
+TEST(TraceSerializeTest, RejectsOutOfRangeTypeBytes) {
+  auto expect_io_error = [](const TraceBytes& bytes, const char* what) {
+    auto graph = DeserializeTrace(bytes.Encode());
+    ASSERT_FALSE(graph.ok()) << what;
+    EXPECT_EQ(graph.status().code(), StatusCode::kIOError)
+        << what << ": " << graph.status().ToString();
+  };
+  for (uint8_t bad : {uint8_t{kNumNodeTypes}, uint8_t{0x80}, uint8_t{0xFF}}) {
+    TraceBytes bytes;
+    bytes.file_type = bad;
+    expect_io_error(bytes, "node type of A");
+    bytes = TraceBytes{};
+    bytes.proc_type = bad;
+    expect_io_error(bytes, "node type of P");
+  }
+  for (uint8_t bad : {uint8_t{kNumEdgeTypes}, uint8_t{0x7F}, uint8_t{0xFF}}) {
+    TraceBytes bytes;
+    bytes.edge_type = bad;
+    expect_io_error(bytes, "edge type");
+  }
+  TraceBytes endpoint;
+  endpoint.edge_to = (int64_t{1} << 32) + 1;  // wraps to a valid id as int32
+  expect_io_error(endpoint, "edge endpoint");
+  TraceBytes dep;
+  dep.with_dep = true;
+  dep.dep_out = 2;
+  expect_io_error(dep, "tuple dependency");
+}
+
+/// Naive model of AddEdge/MergeEdge: a flat edge list, merges scan it from
+/// the newest edge back.
+struct ReferenceEdges {
+  using Edge = std::tuple<NodeId, NodeId, EdgeType, int64_t, int64_t>;
+  std::vector<Edge> edges;
+
+  void Add(NodeId from, NodeId to, EdgeType type, os::Interval t) {
+    edges.emplace_back(from, to, type, t.begin, t.end);
+  }
+  void Merge(NodeId from, NodeId to, EdgeType type, os::Interval t) {
+    for (auto it = edges.rbegin(); it != edges.rend(); ++it) {
+      auto& [f, to_, ty, begin, end] = *it;
+      if (f == from && to_ == to && ty == type) {
+        begin = std::min(begin, t.begin);
+        end = std::max(end, t.end);
+        return;
+      }
+    }
+    Add(from, to, type, t);
+  }
+};
+
+TEST(TraceGraphTest, MergeEdgeMatchesReferenceModel) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    TraceGraph g;
+    ReferenceEdges ref;
+    // Few endpoints so triples repeat; one hub statement and one hub tuple
+    // collect most edges, so both adjacency lists get long.
+    std::vector<NodeId> tuples, stmts, files, procs;
+    for (int i = 0; i < 6; ++i) {
+      std::string n = std::to_string(i);
+      tuples.push_back(g.GetOrAddNode(NodeType::kTuple, "t" + n));
+      stmts.push_back(g.GetOrAddNode(
+          i % 2 ? NodeType::kQuery : NodeType::kUpdate, "s" + n));
+      if (i < 3) {
+        files.push_back(g.GetOrAddNode(NodeType::kFile, "f" + n));
+        procs.push_back(g.GetOrAddNode(NodeType::kProcess, "p" + n));
+      }
+    }
+    auto pick = [&rng](const std::vector<NodeId>& pool) {
+      return rng.Bernoulli(0.5)
+                 ? pool[0]
+                 : pool[static_cast<size_t>(
+                       rng.Uniform(0, static_cast<int64_t>(pool.size()) - 1))];
+    };
+    for (int op = 0; op < 600; ++op) {
+      NodeId from, to;
+      EdgeType type;
+      switch (rng.Uniform(0, 3)) {
+        case 0:
+          std::tie(from, to, type) =
+              std::make_tuple(pick(tuples), pick(stmts), EdgeType::kHasRead);
+          break;
+        case 1:
+          std::tie(from, to, type) = std::make_tuple(
+              pick(stmts), pick(tuples), EdgeType::kHasReturned);
+          break;
+        case 2:
+          std::tie(from, to, type) =
+              std::make_tuple(pick(files), pick(procs), EdgeType::kReadFrom);
+          break;
+        default:
+          std::tie(from, to, type) =
+              std::make_tuple(pick(procs), pick(procs), EdgeType::kExecuted);
+          break;
+      }
+      int64_t begin = rng.Uniform(0, 1000);
+      os::Interval t{begin, begin + rng.Uniform(0, 50)};
+      if (rng.Bernoulli(0.3)) {
+        ASSERT_TRUE(g.AddEdge(from, to, type, t).ok());
+        ref.Add(from, to, type, t);
+      } else {
+        ASSERT_TRUE(g.MergeEdge(from, to, type, t).ok());
+        ref.Merge(from, to, type, t);
+      }
+    }
+    ASSERT_EQ(g.edges().size(), ref.edges.size()) << "seed " << seed;
+    std::vector<std::vector<int32_t>> in(g.num_nodes()), out(g.num_nodes());
+    for (size_t i = 0; i < ref.edges.size(); ++i) {
+      const TraceEdge& e = g.edges()[i];
+      EXPECT_EQ(std::make_tuple(e.from, e.to, e.type, e.t.begin, e.t.end),
+                ref.edges[i])
+          << "seed " << seed << " edge " << i;
+      out[static_cast<size_t>(e.from)].push_back(static_cast<int32_t>(i));
+      in[static_cast<size_t>(e.to)].push_back(static_cast<int32_t>(i));
+    }
+    for (NodeId id = 0; id < g.num_nodes(); ++id) {
+      const size_t i = static_cast<size_t>(id);
+      EXPECT_EQ(g.OutEdges(id), out[i]) << "seed " << seed;
+      EXPECT_EQ(g.InEdges(id), in[i]) << "seed " << seed;
+    }
+  }
 }
 
 TEST(ProvExportTest, Figure2ExportsAsValidProvJson) {

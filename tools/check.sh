@@ -25,6 +25,10 @@
 # vectorized differential, exec, net, txn/governance, mvcc,
 # prepared-statement differential fuzzer) under it.
 #
+# --release additionally configures build-release/ as a Release (-O3)
+# build, which compiles with -Werror like every other build type, and runs
+# the full suite there.
+#
 # --torture N runs N seeded kill-at-faultpoint iterations of crash_torture
 # (on top of the short smoke pass ctest already includes).
 #
@@ -37,6 +41,7 @@ cd "$(dirname "$0")/.."
 
 BENCH_SMOKE=0
 TSAN=0
+RELEASE=0
 TORTURE_ITERS=0
 REPL_TORTURE_ITERS=0
 expect_torture=0
@@ -51,6 +56,7 @@ for arg in "$@"; do
   case "$arg" in
     --bench-smoke) BENCH_SMOKE=1 ;;
     --tsan) TSAN=1 ;;
+    --release) RELEASE=1 ;;
     --torture) expect_torture=1 ;;
     --repl-torture) expect_repl_torture=1 ;;
     *) echo "check.sh: unknown argument: $arg" >&2; exit 2 ;;
@@ -133,6 +139,13 @@ if [[ "$TSAN" == 1 ]]; then
   # job count and silently run the whole (mostly unbuilt) suite.
   (cd build-tsan && ctest --output-on-failure --timeout 240 \
     -R 'ThreadPool|Parallel|Vectorized|ExecSelect|ExecFeatures|Net|Txn|Governance|Mvcc|SharedMutex|SnapshotManager|Prepared|Normalize|Repl' -j)
+fi
+
+if [[ "$RELEASE" == 1 ]]; then
+  echo "== release build =="
+  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build build-release -j
+  (cd build-release && ctest --output-on-failure --timeout 120 -j)
 fi
 
 echo "check.sh: plain and sanitizer suites both passed"
