@@ -9,7 +9,30 @@ namespace ldv::exec {
 using storage::Value;
 using storage::ValueType;
 
+namespace {
+
+/// Cell `i` as a Value: a reference into a boxed column, else a copy held
+/// in `*tmp`.
+const Value& CellValue(const ColumnVector& col, size_t i, Value* tmp) {
+  if (col.boxed) return col.cells[i];
+  *tmp = col.GetValue(i);
+  return *tmp;
+}
+
+/// Value::Compare over two cells, at least one of them boxed.
+Result<int> CompareBoxed(const ColumnVector& a, size_t i,
+                         const ColumnVector& b, size_t j) {
+  Value ta, tb;
+  return CellValue(a, i, &ta).Compare(CellValue(b, j, &tb));
+}
+
+}  // namespace
+
 void ColumnVector::Reserve(size_t n) {
+  if (boxed) {
+    cells.reserve(n);
+    return;
+  }
   switch (type) {
     case ValueType::kNull:
       break;
@@ -25,9 +48,20 @@ void ColumnVector::Reserve(size_t n) {
   }
 }
 
-void ColumnVector::ResizeZero(size_t n) {
+void ColumnVector::ResizeLike(const ColumnVector& src, size_t n,
+                              bool nullable) {
+  type = src.type;
+  boxed = src.boxed;
   length = n;
-  nulls.assign(n, 0);
+  if (boxed) {
+    cells.assign(n, Value());
+    return;
+  }
+  if (!src.nulls.empty() || nullable) {
+    nulls.assign(n, 0);
+  } else {
+    nulls.clear();  // stay dense
+  }
   switch (type) {
     case ValueType::kNull:
       break;
@@ -43,7 +77,20 @@ void ColumnVector::ResizeZero(size_t n) {
   }
 }
 
+void ColumnVector::SetNull(size_t i) {
+  if (boxed) {
+    cells[i] = Value();
+  } else if (type != ValueType::kNull) {
+    nulls[i] = 1;
+  }
+}
+
 void ColumnVector::AppendNull() {
+  if (boxed) {
+    cells.emplace_back();
+    ++length;
+    return;
+  }
   if (type == ValueType::kNull) {
     ++length;
     return;
@@ -87,29 +134,17 @@ void ColumnVector::AppendStr(std::string_view v) {
   ++length;
 }
 
-void ColumnVector::AppendFrom(const ColumnVector& src, size_t i) {
-  if (src.IsNull(i)) {
-    AppendNull();
-    return;
-  }
-  switch (type) {
-    case ValueType::kInt64:
-      AppendInt(src.i64[i]);
-      break;
-    case ValueType::kDouble:
-      AppendDouble(src.f64[i]);
-      break;
-    case ValueType::kString:
-      AppendStr(src.str[i]);
-      break;
-    case ValueType::kNull:
-      AppendNull();
-      break;
-  }
-}
-
 void ColumnVector::AppendColumn(const ColumnVector& src) {
   if (src.length == 0) return;
+  if (boxed) {
+    if (src.boxed) {
+      cells.insert(cells.end(), src.cells.begin(), src.cells.end());
+    } else {
+      for (size_t i = 0; i < src.length; ++i) cells.push_back(src.GetValue(i));
+    }
+    length += src.length;
+    return;
+  }
   if (type == ValueType::kNull) {
     // Every cell is NULL by type; no payload or null map to maintain.
     length += src.length;
@@ -159,28 +194,8 @@ void ColumnVector::AppendColumn(const ColumnVector& src) {
   length = new_length;
 }
 
-void ColumnVector::SetFrom(size_t dst, const ColumnVector& src, size_t i) {
-  if (type == ValueType::kNull) return;  // stays NULL
-  if (src.IsNull(i)) {
-    nulls[dst] = 1;
-    return;
-  }
-  switch (type) {
-    case ValueType::kInt64:
-      i64[dst] = src.i64[i];
-      break;
-    case ValueType::kDouble:
-      f64[dst] = src.f64[i];
-      break;
-    case ValueType::kString:
-      str[dst] = src.str[i];
-      break;
-    case ValueType::kNull:
-      break;
-  }
-}
-
 Value ColumnVector::GetValue(size_t i) const {
+  if (boxed) return cells[i];
   if (IsNull(i)) return Value::Null();
   switch (type) {
     case ValueType::kInt64:
@@ -197,6 +212,10 @@ Value ColumnVector::GetValue(size_t i) const {
 
 bool CellsEqual(const ColumnVector& a, size_t i, const ColumnVector& b,
                 size_t j) {
+  if (a.boxed || b.boxed) {
+    Value ta, tb;
+    return CellValue(a, i, &ta) == CellValue(b, j, &tb);
+  }
   const bool an = a.IsNull(i);
   const bool bn = b.IsNull(j);
   if (an || bn) return an && bn;
@@ -215,6 +234,7 @@ bool CellsEqual(const ColumnVector& a, size_t i, const ColumnVector& b,
 }
 
 bool CellEqualsValue(const ColumnVector& a, size_t i, const Value& v) {
+  if (a.boxed) return a.cells[i] == v;
   if (a.IsNull(i)) return v.is_null();
   if (v.type() != a.type) return false;
   switch (a.type) {
@@ -233,6 +253,10 @@ bool CellEqualsValue(const ColumnVector& a, size_t i, const Value& v) {
 bool JoinKeyCellsEqual(const ColumnVector& a, size_t i, const ColumnVector& b,
                        size_t j) {
   if (a.IsNull(i) || b.IsNull(j)) return false;
+  if (a.boxed || b.boxed) {
+    Result<int> cmp = CompareBoxed(a, i, b, j);
+    return cmp.ok() && *cmp == 0;
+  }
   const bool a_str = a.type == ValueType::kString;
   const bool b_str = b.type == ValueType::kString;
   if (a_str != b_str) return false;  // Compare error => not equal
@@ -249,6 +273,10 @@ bool JoinKeyCellsEqual(const ColumnVector& a, size_t i, const ColumnVector& b,
 
 int CompareCells(const ColumnVector& a, size_t i, const ColumnVector& b,
                  size_t j) {
+  if (a.boxed || b.boxed) {
+    Result<int> cmp = CompareBoxed(a, i, b, j);
+    return cmp.ok() ? *cmp : 0;
+  }
   if (a.type == ValueType::kString) {
     const int cmp = a.str[i].compare(b.str[j]);
     return cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
@@ -267,6 +295,12 @@ int CompareCells(const ColumnVector& a, size_t i, const ColumnVector& b,
 
 void GatherColumnRange(const ColumnVector& src, const size_t* sel,
                        size_t count, size_t dst_begin, ColumnVector* dst) {
+  if (src.boxed) {
+    for (size_t k = 0; k < count; ++k) {
+      dst->cells[dst_begin + k] = src.cells[sel[k]];
+    }
+    return;
+  }
   // NULL payload slots hold a zero default, so payloads copy unconditionally.
   switch (src.type) {
     case ValueType::kInt64:
@@ -297,6 +331,12 @@ void GatherColumnRange(const ColumnVector& src, const size_t* sel,
 void HashColumnCombine(const ColumnVector& col, size_t begin, size_t count,
                        uint64_t* hashes) {
   using storage::CombineValueHash;
+  if (col.boxed) {
+    for (size_t k = 0; k < count; ++k) {
+      hashes[k] = CombineValueHash(hashes[k], col.cells[begin + k].Hash());
+    }
+    return;
+  }
   const uint8_t* nulls = col.nulls.empty() ? nullptr : col.nulls.data();
   switch (col.type) {
     case ValueType::kInt64:
@@ -358,12 +398,14 @@ ColumnBatch ConcatColumnBatches(std::vector<ColumnBatch>&& parts) {
   for (size_t c = 0; c < ncols; ++c) {
     ColumnVector& dst = out.cols[c];
     // Result type: first non-kNull part wins (an all-NULL morsel of an
-    // otherwise typed column is typed kNull locally).
+    // otherwise typed column is typed kNull locally); any boxed part boxes
+    // the whole column.
     dst.type = ValueType::kNull;
     bool any_null_cell = false;
     for (const ColumnBatch& part : parts) {
       if (part.cols.empty()) continue;
       const ColumnVector& src = part.cols[c];
+      dst.boxed = dst.boxed || src.boxed;
       if (dst.type == ValueType::kNull && src.type != ValueType::kNull) {
         dst.type = src.type;
       }
@@ -371,6 +413,7 @@ ColumnBatch ConcatColumnBatches(std::vector<ColumnBatch>&& parts) {
         any_null_cell = any_null_cell || src.length > 0;
       }
     }
+    if (dst.boxed) dst.type = ValueType::kNull;
     dst.Reserve(total);
     if (any_null_cell && dst.type != ValueType::kNull) dst.nulls.reserve(total);
     for (const ColumnBatch& part : parts) {
@@ -390,7 +433,11 @@ size_t ApproxColumnRowBytes(const ColumnBatch& batch, size_t row) {
   size_t bytes =
       sizeof(storage::Tuple) + batch.cols.size() * sizeof(Value);
   for (const ColumnVector& col : batch.cols) {
-    if (col.type == ValueType::kString && !col.IsNull(row)) {
+    if (col.boxed) {
+      if (col.cells[row].type() == ValueType::kString) {
+        bytes += col.cells[row].AsString().size();
+      }
+    } else if (col.type == ValueType::kString && !col.IsNull(row)) {
       bytes += col.str[row].size();
     }
   }

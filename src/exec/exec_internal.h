@@ -6,8 +6,8 @@
 
 #include "exec/operators.h"
 
-/// Internals shared between the row-at-a-time operators (operators.cc) and
-/// the vectorized kernels (vector_ops.cc). Not part of the exec API.
+/// Internals shared by the operators (operators.cc, vector_ops.cc) and the
+/// test-side reference interpreter. Not part of the exec API.
 
 namespace ldv::exec::internal {
 
@@ -20,17 +20,6 @@ size_t NumMorsels(size_t n);
 /// of parallelism. Records fan-out stats into `stats` when non-null.
 Status RunMorsels(ExecContext* ctx, OpStats* stats, size_t n,
                   const std::function<Status(size_t, size_t, size_t)>& fn);
-
-/// Appends `src` to `dst`, moving rows (and lineage when tracked).
-void AppendBatch(Batch* dst, Batch&& src);
-
-/// Approximate retained bytes of rows[begin, end) (memory-budget charges).
-size_t ApproxRowsBytes(const std::vector<storage::Tuple>& rows, size_t begin,
-                       size_t end);
-
-/// Concatenates per-morsel batches in morsel order — the parallel
-/// operators' emission order is therefore exactly the serial one.
-Batch ConcatBatches(std::vector<Batch>&& parts);
 
 /// Running state for one aggregate within one group.
 struct AggState {
@@ -59,6 +48,8 @@ struct GroupTable {
   size_t FindOrCreate(uint64_t hash, storage::Tuple&& keys, size_t num_aggs);
 };
 
+/// Folds one argument value into `state` (SUM/AVG over a string is an
+/// error).
 Status Accumulate(AggState* state, AggregateSpec::Fn fn,
                   const storage::Value& v);
 
@@ -70,14 +61,14 @@ Status MergeAggState(AggState* into, const AggState& from,
 
 storage::Value FinalizeAgg(const AggState& state, const AggregateSpec& spec);
 
-/// Phase 2 of aggregation, shared by the row and columnar paths: merges the
-/// per-morsel partial group tables in morsel order (first-appearance group
-/// order, deterministic float accumulation), materializes the one-row
-/// global-aggregate-over-empty-input case, finalizes each group into an
-/// output row and dedups its lineage.
-Result<Batch> MergeAndFinalizeGroups(std::vector<GroupTable>&& partials,
-                                     const std::vector<AggregateSpec>& aggs,
-                                     bool group_by, bool lineage);
+/// Phase 2 of aggregation: merges the per-morsel partial group tables in
+/// morsel order (first-appearance group order, deterministic float
+/// accumulation), materializes the one-row global-aggregate-over-empty-input
+/// case (`num_keys` == 0), finalizes each group into an output row of boxed
+/// columns (keys, then aggregates) and dedups its lineage.
+Result<ColumnBatch> MergeAndFinalizeGroups(
+    std::vector<GroupTable>&& partials, const std::vector<AggregateSpec>& aggs,
+    size_t num_keys, bool lineage);
 
 }  // namespace ldv::exec::internal
 

@@ -1,14 +1,12 @@
 #include "exec/executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <unordered_set>
 
 #include "common/clock.h"
 #include "common/logging.h"
 #include "exec/planner.h"
 #include "exec/reenactment.h"
-#include "obs/metrics.h"
 #include "sql/parser.h"
 #include "util/csv.h"
 #include "util/fsutil.h"
@@ -22,44 +20,6 @@ using storage::Table;
 using storage::Tuple;
 using storage::TupleVid;
 using storage::Value;
-
-namespace {
-
-std::atomic<bool> g_default_vectorize{true};
-
-/// Resolves the tri-state ExecOptions::vectorize against the process
-/// default.
-bool ResolveVectorize(const ExecOptions& options) {
-  if (options.vectorize != 0) return options.vectorize > 0;
-  return g_default_vectorize.load(std::memory_order_relaxed);
-}
-
-obs::Counter* VectorizedQueriesCounter() {
-  static obs::Counter* counter =
-      obs::MetricsRegistry::Global().counter("exec.vectorized.queries");
-  return counter;
-}
-
-/// Runs the plan through the engine the options select. Both engines
-/// produce bit-identical rows, lineage, and ordering at any DOP; the
-/// columnar result converts back to rows at the root.
-Result<Batch> RunPlanRoot(PlanNode* root, ExecContext* ctx,
-                          const ExecOptions& options) {
-  if (!ResolveVectorize(options)) return root->Execute(ctx);
-  VectorizedQueriesCounter()->Add(1);
-  LDV_ASSIGN_OR_RETURN(ColumnarResult columnar, root->ExecuteColumnar(ctx));
-  return ColumnarToRows(ctx, nullptr, std::move(columnar));
-}
-
-}  // namespace
-
-void SetDefaultVectorize(bool on) {
-  g_default_vectorize.store(on, std::memory_order_relaxed);
-}
-
-bool DefaultVectorize() {
-  return g_default_vectorize.load(std::memory_order_relaxed);
-}
 
 uint64_t ResultSet::Fingerprint() const {
   uint64_t h = Fnv1a(schema.ToString());
@@ -114,7 +74,6 @@ obs::OperatorProfile ProfileFromPlan(const PlanNode& node) {
   op.parallel_workers = stats.parallel_workers;
   op.cpu_nanos = stats.cpu_nanos;
   op.vector_batches = stats.vector_batches;
-  op.row_fallbacks = stats.row_fallbacks;
   for (const PlanNode* child : node.children()) {
     op.children.push_back(ProfileFromPlan(*child));
   }
@@ -344,10 +303,10 @@ Result<ResultSet> Executor::ExecSelect(const sql::SelectStmt& select,
     ctx.dop = dop;
   }
   const int64_t exec_start = options.profile ? NowNanos() : 0;
-  LDV_ASSIGN_OR_RETURN(Batch batch, RunPlanRoot(plan.root.get(), &ctx, options));
+  LDV_ASSIGN_OR_RETURN(ColumnBatch batch, plan.root->Execute(&ctx));
   ResultSet result;
   result.schema = std::move(plan.output_schema);
-  result.rows = std::move(batch.rows);
+  LDV_ASSIGN_OR_RETURN(result.rows, ColumnarToRows(&ctx, batch));
   result.affected = static_cast<int64_t>(result.rows.size());
   if (options.profile) {
     auto profile = std::make_shared<obs::QueryProfile>();
@@ -400,10 +359,10 @@ Result<ResultSet> Executor::ExecutePlanned(SelectPlan& plan,
     ctx.pool = ThreadPool::Shared();
     ctx.dop = dop;
   }
-  LDV_ASSIGN_OR_RETURN(Batch batch, RunPlanRoot(plan.root.get(), &ctx, options));
+  LDV_ASSIGN_OR_RETURN(ColumnBatch batch, plan.root->Execute(&ctx));
   ResultSet result;
   result.schema = plan.output_schema;  // copy: the plan stays shared
-  result.rows = std::move(batch.rows);
+  LDV_ASSIGN_OR_RETURN(result.rows, ColumnarToRows(&ctx, batch));
   result.affected = static_cast<int64_t>(result.rows.size());
   return result;
 }

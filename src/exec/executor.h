@@ -80,15 +80,7 @@ struct ExecOptions {
   /// Read at this snapshot epoch instead of the live state (DESIGN.md §12).
   /// Set by the engine's concurrent read path; 0 = live state.
   int64_t snapshot_epoch = 0;
-  /// Vectorized columnar execution (DESIGN.md §15): 0 = the process default
-  /// (SetDefaultVectorize, i.e. the --no-vectorize flag), 1 = on, -1 = off.
-  /// Results are bit-identical either way; this only selects the engine.
-  int vectorize = 0;
 };
-
-/// Process-wide default for ExecOptions::vectorize == 0 (starts true).
-void SetDefaultVectorize(bool on);
-bool DefaultVectorize();
 
 /// The query/DML engine over one Database. Statements carrying the
 /// PROVENANCE prefix additionally return Lineage (queries) or reenactment

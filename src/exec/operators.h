@@ -103,16 +103,12 @@ struct OpStats {
   /// CPU time summed across workers for the parallel sections; compared
   /// against wall_nanos this shows the wall/CPU split in EXPLAIN ANALYZE.
   int64_t cpu_nanos = 0;
-  /// Columnar morsel batches this operator's vectorized kernel produced
-  /// (0 when it never ran vectorized).
+  /// Morsel batches this operator's kernels processed.
   int64_t vector_batches = 0;
-  /// Times the operator ran in a vectorized execution but fell back to the
-  /// row-at-a-time path (cold expression, non-columnar input, ...).
-  int64_t row_fallbacks = 0;
 };
 
 /// Base class of the materialized operator tree. Execute() returns the full
-/// result; schema()/scope() describe the output layout.
+/// result as one ColumnBatch; schema()/scope() describe its column layout.
 class PlanNode {
  public:
   virtual ~PlanNode() = default;
@@ -120,15 +116,9 @@ class PlanNode {
   /// Runs the operator. When neither profiling (ctx->profile) nor tracing
   /// (obs::TraceRecorder) is active this is a single predicted branch in
   /// front of the operator logic; otherwise it times the call, accumulates
-  /// `stats()` and emits an "exec" trace span.
-  Result<Batch> Execute(ExecContext* ctx);
-
-  /// Vectorized entry point: like Execute(), but hot operators return a
-  /// columnar ColumnBatch and cold operators a row-carrier fallback (the
-  /// base implementation wraps ExecuteImpl). Results are bit-identical to
-  /// Execute() — rows, order and lineage — at any DOP; which representation
-  /// carries them is the only difference.
-  Result<ColumnarResult> ExecuteColumnar(ExecContext* ctx);
+  /// `stats()` and emits an "exec" trace span. Results — rows, order and
+  /// lineage — are identical at any DOP.
+  Result<ColumnBatch> Execute(ExecContext* ctx);
 
   const Scope& scope() const { return scope_; }
 
@@ -144,30 +134,27 @@ class PlanNode {
 
  protected:
   /// The operator logic; subclasses implement this instead of Execute().
-  virtual Result<Batch> ExecuteImpl(ExecContext* ctx) = 0;
+  virtual Result<ColumnBatch> Produce(ExecContext* ctx) = 0;
 
-  /// Columnar operator logic. The default runs the row path and wraps it as
-  /// a row-carrier result; hot operators override it with batch kernels and
-  /// fall back to the row path themselves when the plan shape (cold
-  /// expressions, non-columnar input) demands it.
-  virtual Result<ColumnarResult> ExecuteColumnarImpl(ExecContext* ctx);
+  /// Records morsel batches this operator's kernels processed (the
+  /// exec.vectorized.batches counter and, unless the plan is shared,
+  /// stats().vector_batches).
+  void CountBatches(ExecContext* ctx, size_t batches);
 
   Scope scope_;
   OpStats stats_;
 
  private:
-  Result<Batch> ExecuteInstrumented(ExecContext* ctx);
-  Result<ColumnarResult> ExecuteColumnarInstrumented(ExecContext* ctx);
+  Result<ColumnBatch> ExecuteInstrumented(ExecContext* ctx);
 };
 
-/// Materializes a columnar result as rows (parallel over morsels); a
-/// row-carrier result passes through unchanged. `stats` may be null.
-Result<Batch> ColumnarToRows(ExecContext* ctx, OpStats* stats,
-                             ColumnarResult&& in);
+/// Materializes the root's batch as rows (parallel over morsels).
+Result<std::vector<storage::Tuple>> ColumnarToRows(ExecContext* ctx,
+                                                   const ColumnBatch& in);
 
-/// Sequential scan with optional pushed-down filter. When lineage tracking
-/// is on, every emitted row carries its TupleVid and has its usedby/process
-/// metadata stamped.
+/// Sequential scan with optional pushed-down filter, extracting typed
+/// columns per morsel. When lineage tracking is on, every emitted row
+/// carries its TupleVid and has its usedby/process metadata stamped.
 class ScanNode final : public PlanNode {
  public:
   /// `expose_prov_columns` appends the four prov_* pseudo-columns (hidden)
@@ -180,6 +167,7 @@ class ScanNode final : public PlanNode {
   void set_filter(std::unique_ptr<BoundExpr> filter) {
     filter_ = std::move(filter);
   }
+  const BoundExpr* filter() const { return filter_.get(); }
 
   /// Access-path hint: fetch candidate rows through the table's hash index
   /// on `column` (a table column index) for rows equal to `value`. The
@@ -205,18 +193,9 @@ class ScanNode final : public PlanNode {
   std::string detail() const override;
 
  protected:
-  Result<Batch> ExecuteImpl(ExecContext* ctx) override;
-  Result<ColumnarResult> ExecuteColumnarImpl(ExecContext* ctx) override;
+  Result<ColumnBatch> Produce(ExecContext* ctx) override;
 
  private:
-  /// Tuple versions a morsel's rows contributed to lineage; merged into
-  /// ExecContext::prov_tuples after the (possibly parallel) scan finishes.
-  using ProvRecords =
-      std::vector<std::pair<storage::TupleVid, const storage::Tuple*>>;
-
-  Status EmitRow(ExecContext* ctx, storage::RowVersion* row, Batch* out,
-                 ProvRecords* prov);
-
   storage::Table* table_;
   std::string alias_;
   bool expose_prov_columns_;
@@ -226,9 +205,10 @@ class ScanNode final : public PlanNode {
   int64_t limit_hint_ = -1;
 };
 
-/// Hash join (equi keys) with optional residual predicate; falls back to a
-/// nested loop when no keys are given. `left_outer` emits unmatched left
-/// rows padded with NULLs (their lineage is the left side's alone).
+/// Hash join (equi keys) with optional residual predicate, evaluated over the
+/// gathered candidate pairs; a nested loop when no keys are given.
+/// `left_outer` emits unmatched left rows padded with NULLs (their lineage
+/// is the left side's alone).
 class JoinNode final : public PlanNode {
  public:
   JoinNode(std::unique_ptr<PlanNode> left, std::unique_ptr<PlanNode> right,
@@ -238,6 +218,11 @@ class JoinNode final : public PlanNode {
   void set_residual(std::unique_ptr<BoundExpr> residual) {
     residual_ = std::move(residual);
   }
+  const std::vector<std::pair<int, int>>& key_pairs() const {
+    return key_pairs_;
+  }
+  const BoundExpr* residual() const { return residual_.get(); }
+  bool left_outer() const { return left_outer_; }
 
   std::string label() const override {
     return key_pairs_.empty() ? "NestedLoopJoin" : "HashJoin";
@@ -248,14 +233,9 @@ class JoinNode final : public PlanNode {
   }
 
  protected:
-  Result<Batch> ExecuteImpl(ExecContext* ctx) override;
-  Result<ColumnarResult> ExecuteColumnarImpl(ExecContext* ctx) override;
+  Result<ColumnBatch> Produce(ExecContext* ctx) override;
 
  private:
-  /// Row-at-a-time join over already-materialized inputs (ExecuteImpl and
-  /// the columnar fallback both land here).
-  Result<Batch> ProcessRows(ExecContext* ctx, Batch&& left, Batch&& right);
-
   std::unique_ptr<PlanNode> left_;
   std::unique_ptr<PlanNode> right_;
   /// Pairs of (left scope index, right scope index) equi-join keys.
@@ -271,17 +251,15 @@ class FilterNode final : public PlanNode {
              std::unique_ptr<BoundExpr> predicate);
 
   std::string label() const override { return "Filter"; }
+  const BoundExpr& predicate() const { return *predicate_; }
   std::vector<const PlanNode*> children() const override {
     return {child_.get()};
   }
 
  protected:
-  Result<Batch> ExecuteImpl(ExecContext* ctx) override;
-  Result<ColumnarResult> ExecuteColumnarImpl(ExecContext* ctx) override;
+  Result<ColumnBatch> Produce(ExecContext* ctx) override;
 
  private:
-  Result<Batch> ProcessRows(ExecContext* ctx, Batch&& in);
-
   std::unique_ptr<PlanNode> child_;
   std::unique_ptr<BoundExpr> predicate_;
 };
@@ -294,17 +272,17 @@ class ProjectNode final : public PlanNode {
               std::vector<std::string> names);
 
   std::string label() const override { return "Project"; }
+  const std::vector<std::unique_ptr<BoundExpr>>& exprs() const {
+    return exprs_;
+  }
   std::vector<const PlanNode*> children() const override {
     return {child_.get()};
   }
 
  protected:
-  Result<Batch> ExecuteImpl(ExecContext* ctx) override;
-  Result<ColumnarResult> ExecuteColumnarImpl(ExecContext* ctx) override;
+  Result<ColumnBatch> Produce(ExecContext* ctx) override;
 
  private:
-  Result<Batch> ProcessRows(ExecContext* ctx, Batch&& in);
-
   std::unique_ptr<PlanNode> child_;
   std::vector<std::unique_ptr<BoundExpr>> exprs_;
 };
@@ -329,18 +307,19 @@ class AggregateNode final : public PlanNode {
                 std::vector<AggregateSpec> aggs);
 
   std::string label() const override { return "Aggregate"; }
+  const std::vector<std::unique_ptr<BoundExpr>>& group_exprs() const {
+    return group_exprs_;
+  }
+  const std::vector<AggregateSpec>& aggs() const { return aggs_; }
   std::string detail() const override;
   std::vector<const PlanNode*> children() const override {
     return {child_.get()};
   }
 
  protected:
-  Result<Batch> ExecuteImpl(ExecContext* ctx) override;
-  Result<ColumnarResult> ExecuteColumnarImpl(ExecContext* ctx) override;
+  Result<ColumnBatch> Produce(ExecContext* ctx) override;
 
  private:
-  Result<Batch> ProcessRows(ExecContext* ctx, Batch&& in);
-
   std::unique_ptr<PlanNode> child_;
   std::vector<std::unique_ptr<BoundExpr>> group_exprs_;
   std::vector<AggregateSpec> aggs_;
@@ -358,12 +337,9 @@ class DistinctNode final : public PlanNode {
   }
 
  protected:
-  Result<Batch> ExecuteImpl(ExecContext* ctx) override;
-  Result<ColumnarResult> ExecuteColumnarImpl(ExecContext* ctx) override;
+  Result<ColumnBatch> Produce(ExecContext* ctx) override;
 
  private:
-  Result<Batch> ProcessRows(ExecContext* ctx, Batch&& in);
-
   std::unique_ptr<PlanNode> child_;
 };
 
@@ -378,20 +354,17 @@ class SortLimitNode final : public PlanNode {
                 std::optional<int64_t> limit);
 
   std::string label() const override { return "SortLimit"; }
+  const std::vector<SortKey>& keys() const { return keys_; }
+  std::optional<int64_t> limit() const { return limit_; }
   std::string detail() const override;
   std::vector<const PlanNode*> children() const override {
     return {child_.get()};
   }
 
  protected:
-  Result<Batch> ExecuteImpl(ExecContext* ctx) override;
-  /// No columnar sort kernel: the child executes vectorized and the sort
-  /// itself runs on the converted rows.
-  Result<ColumnarResult> ExecuteColumnarImpl(ExecContext* ctx) override;
+  Result<ColumnBatch> Produce(ExecContext* ctx) override;
 
  private:
-  Result<Batch> ProcessRows(ExecContext* ctx, Batch&& in);
-
   std::unique_ptr<PlanNode> child_;
   std::vector<SortKey> keys_;
   std::optional<int64_t> limit_;

@@ -22,9 +22,9 @@ class SingleRowNode final : public PlanNode {
   std::string label() const override { return "SingleRow"; }
 
  protected:
-  Result<Batch> ExecuteImpl(ExecContext* ctx) override {
-    Batch out;
-    out.rows.emplace_back();
+  Result<ColumnBatch> Produce(ExecContext* ctx) override {
+    ColumnBatch out;
+    out.num_rows = 1;
     if (ctx->track_lineage) out.lineage.emplace_back();
     return out;
   }

@@ -1,5 +1,6 @@
 #include "exec/vector_expr.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -42,6 +43,8 @@ void Reset(ColumnVector* out, ValueType t) {
   out->i64.clear();
   out->f64.clear();
   out->str.clear();
+  out->boxed = false;
+  out->cells.clear();
 }
 
 /// All-NULL result of `n` rows (a statically-NULL operand poisons the whole
@@ -386,20 +389,34 @@ void BetweenKernel(const BoundExpr& e, const ColumnVector& v,
   }
 }
 
-}  // namespace
-
-bool CanVectorizeExpr(const BoundExpr& expr, const storage::Tuple* params) {
+/// True when the typed kernels evaluate `expr` over `batch` with results
+/// bit-identical to EvalExpr. The test is static (expression shape, bound
+/// result types, typed input columns, actual parameter types), chosen so a
+/// covered tree can NEVER raise a runtime error — which is what licenses the
+/// kernels to evaluate AND/OR/BETWEEN operands eagerly instead of
+/// short-circuiting: with no error path, eager evaluation is
+/// observationally identical. Typed input columns hold only NULLs and cells
+/// of their static type (storage enforces it for table columns; kernels and
+/// joins preserve it), so the static checks judge the real cells.
+///
+/// Not covered (generic arm): CONCAT and function calls (they create
+/// values), subqueries, string negation/arithmetic/mixed comparisons
+/// (runtime type errors), boxed input columns, and parameters whose bound
+/// value's type differs from the plan-stamped type.
+bool KernelCovers(const BoundExpr& expr, const ColumnBatch& batch,
+                  const storage::Tuple* params) {
   for (const auto& child : expr.children) {
-    if (!CanVectorizeExpr(*child, params)) return false;
+    if (!KernelCovers(*child, batch, params)) return false;
   }
   switch (expr.kind) {
     case ExprKind::kLiteral:
-    case ExprKind::kColumnRef:
       return true;
+    case ExprKind::kColumnRef:
+      return !batch.cols[static_cast<size_t>(expr.column_index)].boxed;
     case ExprKind::kParameter:
       // The kernel broadcasts the bound value; if its runtime type diverged
       // from the plan-stamped type the static checks below would be judging
-      // the wrong type, so fall back to the row engine in that case.
+      // the wrong type, so the generic arm takes it.
       return params != nullptr && expr.column_index >= 0 &&
              static_cast<size_t>(expr.column_index) < params->size() &&
              (*params)[static_cast<size_t>(expr.column_index)].type() ==
@@ -436,7 +453,7 @@ bool CanVectorizeExpr(const BoundExpr& expr, const storage::Tuple* params) {
           return (a == ValueType::kString || a == ValueType::kNull) &&
                  (b == ValueType::kString || b == ValueType::kNull);
         case BinaryOp::kConcat:
-          return false;  // would materialize strings; row engine handles it
+          return false;  // creates strings: generic arm
       }
       return false;
     }
@@ -461,7 +478,8 @@ bool CanVectorizeExpr(const BoundExpr& expr, const storage::Tuple* params) {
   return false;
 }
 
-void EvalVector(const BoundExpr& expr, const ColumnBatch& batch, size_t begin,
+/// The kernel arm; KernelCovers must hold for `expr`.
+void EvalKernel(const BoundExpr& expr, const ColumnBatch& batch, size_t begin,
                 size_t end, const storage::Tuple* params, ColumnVector* out) {
   const size_t n = end - begin;
   switch (expr.kind) {
@@ -477,14 +495,14 @@ void EvalVector(const BoundExpr& expr, const ColumnBatch& batch, size_t begin,
       return;
     case ExprKind::kUnary: {
       ColumnVector c;
-      EvalVector(*expr.children[0], batch, begin, end, params, &c);
+      EvalKernel(*expr.children[0], batch, begin, end, params, &c);
       UnaryKernel(expr, c, out);
       return;
     }
     case ExprKind::kBinary: {
       ColumnVector l, r;
-      EvalVector(*expr.children[0], batch, begin, end, params, &l);
-      EvalVector(*expr.children[1], batch, begin, end, params, &r);
+      EvalKernel(*expr.children[0], batch, begin, end, params, &l);
+      EvalKernel(*expr.children[1], batch, begin, end, params, &r);
       if (expr.binary_op == BinaryOp::kAnd || expr.binary_op == BinaryOp::kOr) {
         LogicalKernel(expr.binary_op, l, r, out);
       } else if (IsComparison(expr.binary_op)) {
@@ -499,16 +517,16 @@ void EvalVector(const BoundExpr& expr, const ColumnBatch& batch, size_t begin,
     }
     case ExprKind::kBetween: {
       ColumnVector v, lo, hi;
-      EvalVector(*expr.children[0], batch, begin, end, params, &v);
-      EvalVector(*expr.children[1], batch, begin, end, params, &lo);
-      EvalVector(*expr.children[2], batch, begin, end, params, &hi);
+      EvalKernel(*expr.children[0], batch, begin, end, params, &v);
+      EvalKernel(*expr.children[1], batch, begin, end, params, &lo);
+      EvalKernel(*expr.children[2], batch, begin, end, params, &hi);
       BetweenKernel(expr, v, lo, hi, out);
       return;
     }
     case ExprKind::kInList: {
       std::vector<ColumnVector> vals(expr.children.size());
       for (size_t c = 0; c < expr.children.size(); ++c) {
-        EvalVector(*expr.children[c], batch, begin, end, params, &vals[c]);
+        EvalKernel(*expr.children[c], batch, begin, end, params, &vals[c]);
       }
       const ColumnVector& probe = vals[0];
       Reset(out, ValueType::kInt64);
@@ -540,11 +558,49 @@ void EvalVector(const BoundExpr& expr, const ColumnBatch& batch, size_t begin,
     case ExprKind::kExists:
       break;
   }
-  LDV_CHECK(false);  // CanVectorizeExpr must have rejected this tree
+  LDV_CHECK(false);  // KernelCovers must have rejected this tree
+}
+
+void CollectColumnIndexes(const BoundExpr& expr, std::vector<size_t>* out) {
+  if (expr.kind == ExprKind::kColumnRef) {
+    const size_t c = static_cast<size_t>(expr.column_index);
+    if (std::find(out->begin(), out->end(), c) == out->end()) out->push_back(c);
+  }
+  for (const auto& child : expr.children) CollectColumnIndexes(*child, out);
+}
+
+}  // namespace
+
+Status EvalVector(const BoundExpr& expr, const ColumnBatch& batch,
+                  size_t begin, size_t end, const storage::Tuple* params,
+                  ColumnVector* out) {
+  if (KernelCovers(expr, batch, params)) {
+    EvalKernel(expr, batch, begin, end, params, out);
+    return Status::Ok();
+  }
+  // Generic arm: EvalExpr once per row over the cells `expr` references,
+  // boxed so mixed-type results and created strings keep their own storage.
+  std::vector<size_t> refs;
+  CollectColumnIndexes(expr, &refs);
+  Reset(out, ValueType::kNull);
+  out->boxed = true;
+  out->cells.reserve(end - begin);
+  storage::Tuple row(batch.cols.size());
+  for (size_t i = begin; i < end; ++i) {
+    for (size_t c : refs) row[c] = batch.cols[c].GetValue(i);
+    LDV_ASSIGN_OR_RETURN(Value v, EvalExpr(expr, row, params));
+    out->cells.push_back(std::move(v));
+  }
+  out->length = end - begin;
+  return Status::Ok();
 }
 
 void VectorTruthy(const ColumnVector& v, std::vector<uint8_t>* out) {
   out->assign(v.length, 0);
+  if (v.boxed) {
+    for (size_t i = 0; i < v.length; ++i) (*out)[i] = v.cells[i].IsTruthy();
+    return;
+  }
   switch (v.type) {
     case ValueType::kNull:
       return;

@@ -4,29 +4,21 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
 #include "exec/column_batch.h"
 #include "exec/expression.h"
 
 namespace ldv::exec {
 
-/// True when `expr` can be evaluated by the columnar kernels with results
-/// bit-identical to EvalExpr. The test is static (expression shape + bound
-/// result types + actual parameter types), chosen so that a vectorizable
-/// tree can NEVER raise a runtime error — which is what licenses the kernels
-/// to evaluate AND/OR/BETWEEN operands eagerly instead of short-circuiting:
-/// with no error path, eager evaluation is observationally identical.
-///
-/// Out of scope (row-engine fallback): CONCAT and function calls (would
-/// materialize strings), subqueries, string negation/arithmetic/mixed
-/// comparisons (runtime type errors), and parameters whose bound value's
-/// type differs from the plan-stamped type.
-bool CanVectorizeExpr(const BoundExpr& expr, const storage::Tuple* params);
-
-/// Evaluates `expr` over rows [begin, end) of `batch` into `out` (dense,
-/// length end-begin). Must only be called when CanVectorizeExpr held for the
-/// same params; kernels are total functions under that precondition.
-void EvalVector(const BoundExpr& expr, const ColumnBatch& batch, size_t begin,
-                size_t end, const storage::Tuple* params, ColumnVector* out);
+/// Evaluates `expr` over rows [begin, end) of `batch` into `out` (length
+/// end-begin). Trees the typed kernels cover run as column kernels and never
+/// fail; every other tree — CONCAT, function calls, anything over a boxed
+/// input column, a parameter bound with an unplanned type — runs through
+/// the generic arm, EvalExpr once per row into a boxed column, and returns
+/// EvalExpr's first error. Either way the cells equal EvalExpr's results.
+Status EvalVector(const BoundExpr& expr, const ColumnBatch& batch,
+                  size_t begin, size_t end, const storage::Tuple* params,
+                  ColumnVector* out);
 
 /// SQL truthiness per cell (NULL -> 0; numeric != 0; non-empty string),
 /// matching Value::IsTruthy. `out` is resized to v.length.

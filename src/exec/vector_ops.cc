@@ -1,27 +1,23 @@
-// Vectorized columnar execution (DESIGN.md §15): batch kernels for the hot
-// operators — scan with fused filter, hash join build/probe, aggregate and
-// distinct partials, projection — running inside the same morsel
-// decomposition as the row engine, so results are bit-identical at any DOP.
-// Operators whose plan shape the kernels don't cover (cold expressions,
-// sorts, outer joins, residuals) fall back to the row-at-a-time path via
-// ColumnarToRows; the fallback boundary is visible in EXPLAIN ANALYZE and
-// the exec.vectorized.* metrics.
+// Columnar execution (DESIGN.md §15): every operator produces one
+// ColumnBatch. The hot shapes run typed batch kernels — scan with fused
+// filter, hash join build/probe, aggregate and distinct partials,
+// projection — and the rest (sorts, outer, residual and nested-loop joins,
+// expressions the kernels do not cover) run over the same batches, the
+// latter through EvalVector's generic arm. Every operator works inside the
+// fixed morsel decomposition, so results are bit-identical at any DOP.
 
 #include <algorithm>
-#include <atomic>
+#include <numeric>
 #include <utility>
 
 #include "common/clock.h"
 #include "exec/exec_internal.h"
 #include "exec/operators.h"
 #include "exec/vector_expr.h"
-#include "obs/metrics.h"
-#include "obs/span.h"
 
 namespace ldv::exec {
 
 using internal::AggState;
-using internal::ApproxRowsBytes;
 using internal::GroupState;
 using internal::GroupTable;
 using internal::MergeAndFinalizeGroups;
@@ -35,302 +31,251 @@ using storage::ValueType;
 
 namespace {
 
-struct VectorizedMetrics {
-  obs::Counter* queries;
-  obs::Counter* batches;
-  obs::Counter* fallbacks;
-};
-
-const VectorizedMetrics& GetVectorizedMetrics() {
-  static const VectorizedMetrics metrics{
-      obs::MetricsRegistry::Global().counter("exec.vectorized.queries"),
-      obs::MetricsRegistry::Global().counter("exec.vectorized.batches"),
-      obs::MetricsRegistry::Global().counter("exec.vectorized.fallbacks")};
-  return metrics;
-}
-
-/// An operator "fell back" when it produced rows without running any batch
-/// kernel (an aggregate returns a row-carrier but DID run vectorized — its
-/// batches count says so).
-bool IsRowFallback(const ColumnarResult& r) {
-  return !r.columnar && r.batches == 0;
-}
-
-ColumnarResult WrapRows(Batch&& rows) {
-  ColumnarResult out;
-  out.rows = std::move(rows);
+/// Concatenates per-morsel lists in morsel order.
+template <typename T>
+std::vector<T> ConcatParts(const std::vector<std::vector<T>>& parts) {
+  size_t total = 0;
+  for (const auto& part : parts) total += part.size();
+  std::vector<T> out;
+  out.reserve(total);
+  for (const auto& part : parts) out.insert(out.end(), part.begin(), part.end());
   return out;
+}
+
+/// Sets `out`'s columns to the rows of `in` at `sel`, in order, gathered in
+/// parallel; lineage is the caller's to carry.
+Status GatherColumns(ExecContext* ctx, OpStats* stats, const ColumnBatch& in,
+                     const std::vector<size_t>& sel, ColumnBatch* out) {
+  out->num_rows = sel.size();
+  out->cols.resize(in.cols.size());
+  for (size_t c = 0; c < in.cols.size(); ++c) {
+    out->cols[c].ResizeLike(in.cols[c], sel.size());
+  }
+  return RunMorsels(
+      ctx, stats, sel.size(), [&](size_t begin, size_t end, size_t) -> Status {
+        for (size_t c = 0; c < in.cols.size(); ++c) {
+          GatherColumnRange(in.cols[c], sel.data() + begin, end - begin, begin,
+                            &out->cols[c]);
+        }
+        return Status::Ok();
+      });
+}
+
+/// Row indexes whose predicate cell is truthy, offset by `base`.
+void AppendSelected(const ColumnVector& pred, size_t base,
+                    std::vector<size_t>* sel) {
+  std::vector<uint8_t> keep;
+  VectorTruthy(pred, &keep);
+  for (size_t i = 0; i < keep.size(); ++i) {
+    if (keep[i]) sel->push_back(base + i);
+  }
 }
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// PlanNode columnar entry points
-// ---------------------------------------------------------------------------
-
-Result<ColumnarResult> PlanNode::ExecuteColumnar(ExecContext* ctx) {
-  Result<ColumnarResult> result =
-      ctx->frozen_plan || (!ctx->profile && !obs::TraceRecorder::enabled())
-          ? ExecuteColumnarImpl(ctx)
-          : ExecuteColumnarInstrumented(ctx);
-  if (result.ok()) {
-    const VectorizedMetrics& metrics = GetVectorizedMetrics();
-    if (result->batches > 0) metrics.batches->Add(result->batches);
-    if (IsRowFallback(*result)) metrics.fallbacks->Add(1);
-  }
-  return result;
-}
-
-Result<ColumnarResult> PlanNode::ExecuteColumnarInstrumented(ExecContext* ctx) {
-  obs::Span span(label(), "exec");
-  if (span.recording()) {
-    std::string d = detail();
-    if (!d.empty()) span.AddArg("detail", d);
-  }
-  const int64_t start = NowNanos();
-  Result<ColumnarResult> result = ExecuteColumnarImpl(ctx);
-  stats_.wall_nanos += NowNanos() - start;
-  ++stats_.invocations;
-  if (result.ok()) {
-    stats_.rows_out += static_cast<int64_t>(result->NumRows());
-    stats_.vector_batches += result->batches;
-    if (IsRowFallback(*result)) ++stats_.row_fallbacks;
-    if (span.recording()) {
-      span.AddArg("rows_out", std::to_string(result->NumRows()));
-      if (result->batches > 0) {
-        span.AddArg("batches", std::to_string(result->batches));
-      }
-      if (stats_.parallel_morsels > 0) {
-        span.AddArg("morsels", std::to_string(stats_.parallel_morsels));
-        span.AddArg("workers", std::to_string(stats_.parallel_workers));
-      }
-    }
-  }
-  return result;
-}
-
-Result<ColumnarResult> PlanNode::ExecuteColumnarImpl(ExecContext* ctx) {
-  // Cold operators (DML feeds, reenactment, single-row sources) run their
-  // row logic unchanged and hand the result on as a row carrier.
-  LDV_ASSIGN_OR_RETURN(Batch rows, ExecuteImpl(ctx));
-  return WrapRows(std::move(rows));
-}
-
-Result<Batch> ColumnarToRows(ExecContext* ctx, OpStats* stats,
-                             ColumnarResult&& in) {
-  if (!in.columnar) return std::move(in.rows);
-  ColumnBatch& cb = in.columns;
-  const size_t n = cb.num_rows;
-  Batch out;
-  out.rows.resize(n);
+Result<std::vector<Tuple>> ColumnarToRows(ExecContext* ctx,
+                                          const ColumnBatch& in) {
+  std::vector<Tuple> rows(in.num_rows);
   LDV_RETURN_IF_ERROR(RunMorsels(
-      ctx, stats, n, [&](size_t begin, size_t end, size_t) -> Status {
+      ctx, nullptr, in.num_rows,
+      [&](size_t begin, size_t end, size_t) -> Status {
         for (size_t i = begin; i < end; ++i) {
-          Tuple row;
-          row.reserve(cb.cols.size());
-          for (const ColumnVector& col : cb.cols) {
-            row.push_back(col.GetValue(i));
+          rows[i].reserve(in.cols.size());
+          for (const ColumnVector& col : in.cols) {
+            rows[i].push_back(col.GetValue(i));
           }
-          out.rows[i] = std::move(row);
         }
         return Status::Ok();
       }));
-  out.lineage = std::move(cb.lineage);
-  return out;
+  return rows;
 }
 
 // ---------------------------------------------------------------------------
 // ScanNode: typed column extraction with the filter fused per morsel
 // ---------------------------------------------------------------------------
 
-Result<ColumnarResult> ScanNode::ExecuteColumnarImpl(ExecContext* ctx) {
+Result<ColumnBatch> ScanNode::Produce(ExecContext* ctx) {
+  // Snapshot-isolated scan (DESIGN.md §12): when the table carries
+  // mutations newer than the snapshot epoch, every slot resolves to the
+  // newest version the snapshot may see — possibly an archived pre-image,
+  // possibly none. Tables untouched since the epoch take the plain path,
+  // so snapshot reads on a quiescent table cost nothing extra.
   const int64_t epoch = ctx->snapshot_epoch;
   const bool versioned = epoch > 0 && table_->last_mutation_seq() > epoch;
-  // The index-probe access path selects few rows by construction and a
-  // non-vectorizable filter would run row-at-a-time anyway: both take the
-  // row path wholesale.
-  if ((has_index_probe() && table_->HasIndexOn(probe_column_) && !versioned) ||
-      (filter_ != nullptr && !CanVectorizeExpr(*filter_, ctx->params))) {
-    LDV_ASSIGN_OR_RETURN(Batch rows, ExecuteImpl(ctx));
-    return WrapRows(std::move(rows));
-  }
-
   const auto& schema_cols = table_->schema().columns();
   const size_t base_cols = schema_cols.size();
   const size_t ncols =
       base_cols + (expose_prov_columns_ ? size_t{4} : size_t{0});
   const bool lineage = ctx->track_lineage;
   std::vector<RowVersion>& rows = table_->mutable_rows();
-  const size_t n = rows.size();
-
-  // Strict-typing escape hatch: the kernels require every cell to be NULL
-  // or exactly the schema type. A cell that deviates (legacy data, lax
-  // coercion) aborts the columnar attempt and the whole scan re-runs
-  // row-at-a-time — correctness never depends on the data being clean.
-  std::atomic<bool> strict_abort{false};
 
   using ProvRecords = std::vector<std::pair<TupleVid, const Tuple*>>;
-  const size_t num_morsels = NumMorsels(n);
-  std::vector<ColumnBatch> parts(num_morsels);
-  std::vector<ProvRecords> part_prov(num_morsels);
+  std::vector<ColumnBatch> parts;
+  std::vector<ProvRecords> part_prov;
 
-  auto scan_morsel = [&](size_t begin, size_t end, size_t morsel) -> Status {
-    if (strict_abort.load(std::memory_order_relaxed)) return Status::Ok();
-    // Resolve the visible version of each slot and extract its cells into
-    // morsel-local typed columns.
+  // Appends the cells of `row` to the typed columns of `cand`. Storage
+  // admits only NULL or schema-typed cells (Table::Insert/Update/
+  // RestoreRow), so every cell lands in its column's typed array.
+  auto extract = [&](const RowVersion& row, ColumnBatch* cand) {
+    for (size_t c = 0; c < base_cols; ++c) {
+      const Value& v = row.values[c];
+      switch (v.type()) {
+        case ValueType::kNull:
+          cand->cols[c].AppendNull();
+          break;
+        case ValueType::kInt64:
+          cand->cols[c].AppendInt(v.AsInt());
+          break;
+        case ValueType::kDouble:
+          cand->cols[c].AppendDouble(v.AsDouble());
+          break;
+        case ValueType::kString:
+          // View into the row version's string storage; stable for the
+          // whole statement (the table is read-locked and lineage stamps
+          // touch only the integer usedby fields).
+          cand->cols[c].AppendStr(std::string_view(v.AsString()));
+          break;
+      }
+    }
+    if (expose_prov_columns_) {
+      // usedby/process are read BEFORE this statement stamps the row.
+      cand->cols[base_cols].AppendInt(row.rowid);
+      cand->cols[base_cols + 1].AppendInt(row.version);
+      cand->cols[base_cols + 2].AppendInt(row.used_by_query);
+      cand->cols[base_cols + 3].AppendInt(row.used_by_process);
+    }
+  };
+  auto new_candidates = [&](size_t rows_hint) {
     ColumnBatch cand;
     cand.cols.resize(ncols);
-    for (size_t c = 0; c < base_cols; ++c) {
-      cand.cols[c].type = schema_cols[c].type;
-      cand.cols[c].Reserve(end - begin);
+    for (size_t c = 0; c < ncols; ++c) {
+      cand.cols[c].type =
+          c < base_cols ? schema_cols[c].type : ValueType::kInt64;
+      cand.cols[c].Reserve(rows_hint);
     }
-    for (size_t c = base_cols; c < ncols; ++c) {
-      cand.cols[c].type = ValueType::kInt64;
-      cand.cols[c].Reserve(end - begin);
-    }
-    std::vector<RowVersion*> visible;
-    visible.reserve(end - begin);
-    for (size_t i = begin; i < end; ++i) {
-      RowVersion* row = &rows[i];
-      if (versioned) {
-        const RowVersion* v = table_->VisibleVersion(*row, epoch);
-        if (v == nullptr) continue;
-        // Snapshot reads never track lineage, so the archived version is
-        // never written through (mirrors the row path).
-        row = const_cast<RowVersion*>(v);
-      } else if (row->deleted) {
-        continue;
-      }
-      if (row->values.size() != base_cols) {
-        strict_abort.store(true, std::memory_order_relaxed);
-        return Status::Ok();
-      }
-      for (size_t c = 0; c < base_cols; ++c) {
-        const Value& v = row->values[c];
-        if (v.is_null()) {
-          cand.cols[c].AppendNull();
-          continue;
-        }
-        if (v.type() != schema_cols[c].type) {
-          strict_abort.store(true, std::memory_order_relaxed);
-          return Status::Ok();
-        }
-        switch (v.type()) {
-          case ValueType::kInt64:
-            cand.cols[c].AppendInt(v.AsInt());
-            break;
-          case ValueType::kDouble:
-            cand.cols[c].AppendDouble(v.AsDouble());
-            break;
-          case ValueType::kString:
-            // View into the row version's string storage; stable for the
-            // whole statement (the table is read-locked and lineage stamps
-            // touch only the integer usedby fields).
-            cand.cols[c].AppendStr(std::string_view(v.AsString()));
-            break;
-          case ValueType::kNull:
-            break;
-        }
-      }
-      if (expose_prov_columns_) {
-        // usedby/process are read BEFORE this statement stamps the row,
-        // exactly like the row path's EmitRow.
-        cand.cols[base_cols].AppendInt(row->rowid);
-        cand.cols[base_cols + 1].AppendInt(row->version);
-        cand.cols[base_cols + 2].AppendInt(row->used_by_query);
-        cand.cols[base_cols + 3].AppendInt(row->used_by_process);
-      }
-      visible.push_back(row);
-    }
+    return cand;
+  };
+  // Applies the filter to the extracted rows of `visible` and stamps
+  // lineage, into parts[part].
+  auto emit = [&](ColumnBatch&& cand, const std::vector<RowVersion*>& visible,
+                  size_t part) -> Status {
     cand.num_rows = visible.size();
-
-    ColumnBatch& part = parts[morsel];
-    if (filter_ == nullptr && !lineage) {
-      part = std::move(cand);
-      return Status::Ok();
-    }
-    std::vector<uint8_t> keep;
+    std::vector<size_t> sel;
     if (filter_ != nullptr) {
       ColumnVector pred;
-      EvalVector(*filter_, cand, 0, cand.num_rows, ctx->params, &pred);
-      VectorTruthy(pred, &keep);
+      LDV_RETURN_IF_ERROR(
+          EvalVector(*filter_, cand, 0, cand.num_rows, ctx->params, &pred));
+      sel.reserve(cand.num_rows);
+      AppendSelected(pred, 0, &sel);
     }
-    auto stamp = [&](size_t k) {
-      RowVersion* row = visible[k];
-      TupleVid vid{table_->id(), row->rowid, row->version};
-      row->used_by_query = ctx->query_id;
-      row->used_by_process = ctx->process_id;
-      part.lineage.push_back({vid});
-      part_prov[morsel].emplace_back(vid, &row->values);
-    };
-    if (filter_ == nullptr) {
-      part.cols = std::move(cand.cols);
-      part.num_rows = cand.num_rows;
-      part.lineage.reserve(part.num_rows);
-      for (size_t k = 0; k < part.num_rows; ++k) stamp(k);
-      return Status::Ok();
-    }
-    std::vector<size_t> sel;
-    sel.reserve(cand.num_rows);
-    for (size_t k = 0; k < cand.num_rows; ++k) {
-      if (keep[k]) sel.push_back(k);
-    }
-    if (sel.size() == cand.num_rows) {
-      // Filter kept everything: hand the candidate columns on as-is.
-      part.cols = std::move(cand.cols);
-    } else {
-      part.cols.resize(ncols);
-      for (size_t c = 0; c < ncols; ++c) {
-        ColumnVector& out_col = part.cols[c];
-        out_col.type = cand.cols[c].type;
-        out_col.ResizeZero(sel.size());
-        if (cand.cols[c].nulls.empty()) out_col.nulls.clear();  // stay dense
-        GatherColumnRange(cand.cols[c], sel.data(), sel.size(), 0, &out_col);
+    ColumnBatch& out = parts[part];
+    if (filter_ == nullptr || sel.size() == cand.num_rows) {
+      // No filter, or it kept everything: hand the candidates on as-is.
+      out.cols = std::move(cand.cols);
+      out.num_rows = cand.num_rows;
+      if (lineage && filter_ == nullptr) {
+        sel.resize(cand.num_rows);
+        std::iota(sel.begin(), sel.end(), size_t{0});
       }
+    } else {
+      out.cols.resize(ncols);
+      for (size_t c = 0; c < ncols; ++c) {
+        out.cols[c].ResizeLike(cand.cols[c], sel.size());
+        GatherColumnRange(cand.cols[c], sel.data(), sel.size(), 0,
+                          &out.cols[c]);
+      }
+      out.num_rows = sel.size();
     }
-    part.num_rows = sel.size();
     if (lineage) {
-      part.lineage.reserve(sel.size());
-      for (size_t k : sel) stamp(k);
+      // Lineage-tracked scans stamp the prov_usedby / prov_p attributes of
+      // every tuple they read (§VII-B). A parallel scan's morsels touch
+      // disjoint rows, so the stamps are race-free.
+      out.lineage.reserve(sel.size());
+      for (size_t k : sel) {
+        RowVersion* row = visible[k];
+        TupleVid vid{table_->id(), row->rowid, row->version};
+        row->used_by_query = ctx->query_id;
+        row->used_by_process = ctx->process_id;
+        out.lineage.push_back({vid});
+        part_prov[part].emplace_back(vid, &row->values);
+      }
     }
     return Status::Ok();
   };
 
-  // LIMIT pushdown without ORDER BY: run morsels serially and stop at the
-  // first boundary where the limit is reached — the same whole-morsel
-  // prefix the hinted row path emits. Lineage-tracked scans must stamp
-  // every row they read, so they ignore the hint (as does the row path).
-  const int64_t limit = limit_hint_ >= 0 && !lineage ? limit_hint_ : -1;
-  int64_t batches = 0;
-  if (limit >= 0) {
-    size_t emitted = 0;
-    for (size_t m = 0; m < num_morsels; ++m) {
-      if (emitted >= static_cast<size_t>(limit)) break;
-      LDV_RETURN_IF_ERROR(ctx->CheckGovernor());
-      const size_t begin = m * kMorselRows;
-      LDV_RETURN_IF_ERROR(
-          scan_morsel(begin, std::min(n, begin + kMorselRows), m));
-      if (strict_abort.load(std::memory_order_relaxed)) break;
-      emitted += parts[m].num_rows;
-      ++batches;
+  size_t batches = 0;
+  if (has_index_probe() && table_->HasIndexOn(probe_column_) && !versioned) {
+    // Point lookup through the hash index (live rows only, hence not for a
+    // versioned snapshot). Rowid order keeps emission order identical to a
+    // full scan over the same qualifying rows; index probes select few rows
+    // by construction, so they make one batch.
+    parts.resize(1);
+    part_prov.resize(1);
+    const std::vector<storage::RowId> rowids =
+        table_->IndexLookup(probe_column_, probe_value_);
+    ColumnBatch cand = new_candidates(rowids.size());
+    std::vector<RowVersion*> visible;
+    for (storage::RowId rowid : rowids) {
+      RowVersion* row = table_->FindMutable(rowid);
+      if (row == nullptr) continue;
+      extract(*row, &cand);
+      visible.push_back(row);
     }
+    LDV_RETURN_IF_ERROR(ctx->CheckGovernor());
+    LDV_RETURN_IF_ERROR(emit(std::move(cand), visible, 0));
+    batches = 1;
   } else {
-    LDV_RETURN_IF_ERROR(RunMorsels(ctx, &stats_, n, scan_morsel));
-    batches = static_cast<int64_t>(num_morsels);
+    const size_t n = rows.size();
+    const size_t num_morsels = NumMorsels(n);
+    parts.resize(num_morsels);
+    part_prov.resize(num_morsels);
+    // Resolves the version of each slot this statement may see. Snapshot
+    // reads never track lineage, so the cast-away const on an archived
+    // version is never written through.
+    auto scan_morsel = [&](size_t begin, size_t end, size_t morsel) -> Status {
+      ColumnBatch cand = new_candidates(end - begin);
+      std::vector<RowVersion*> visible;
+      visible.reserve(end - begin);
+      for (size_t i = begin; i < end; ++i) {
+        RowVersion* row = &rows[i];
+        if (versioned) {
+          const RowVersion* v = table_->VisibleVersion(*row, epoch);
+          if (v == nullptr) continue;
+          row = const_cast<RowVersion*>(v);
+        } else if (row->deleted) {
+          continue;
+        }
+        extract(*row, &cand);
+        visible.push_back(row);
+      }
+      return emit(std::move(cand), visible, morsel);
+    };
+    // LIMIT pushdown (no ORDER BY above): stop at the first morsel boundary
+    // where the limit is reached. Runs serially — the rows wanted are a
+    // prefix, so fanning the tail out would be wasted work — and emits a
+    // whole-morsel prefix of the unhinted scan's rows. Lineage-tracked
+    // scans ignore the hint: they stamp every row they read.
+    const int64_t limit = limit_hint_ >= 0 && !lineage ? limit_hint_ : -1;
+    if (limit >= 0) {
+      size_t emitted = 0;
+      for (size_t m = 0; m < num_morsels; ++m) {
+        if (emitted >= static_cast<size_t>(limit)) break;
+        LDV_RETURN_IF_ERROR(ctx->CheckGovernor());
+        const size_t begin = m * kMorselRows;
+        LDV_RETURN_IF_ERROR(
+            scan_morsel(begin, std::min(n, begin + kMorselRows), m));
+        emitted += parts[m].num_rows;
+        ++batches;
+      }
+    } else {
+      LDV_RETURN_IF_ERROR(RunMorsels(ctx, &stats_, n, scan_morsel));
+      batches = num_morsels;
+    }
   }
+  CountBatches(ctx, batches);
 
-  if (strict_abort.load(std::memory_order_relaxed)) {
-    // Already-applied lineage stamps are idempotent for this statement and
-    // the row path re-collects every prov record, so a clean re-run is safe.
-    LDV_ASSIGN_OR_RETURN(Batch fallback_rows, ExecuteImpl(ctx));
-    return WrapRows(std::move(fallback_rows));
-  }
-
-  ColumnarResult out;
-  out.columnar = true;
-  out.batches = batches;
-  out.columns = ConcatColumnBatches(std::move(parts));
-  if (out.columns.cols.empty()) out.columns.cols.resize(ncols);
+  ColumnBatch out = ConcatColumnBatches(std::move(parts));
+  if (out.cols.empty()) out.cols.resize(ncols);
   for (const ProvRecords& records : part_prov) {
     ctx->prov_tuples.insert(records.begin(), records.end());
   }
@@ -341,60 +286,25 @@ Result<ColumnarResult> ScanNode::ExecuteColumnarImpl(ExecContext* ctx) {
 // FilterNode: predicate kernel -> selection vector -> one parallel gather
 // ---------------------------------------------------------------------------
 
-Result<ColumnarResult> FilterNode::ExecuteColumnarImpl(ExecContext* ctx) {
-  LDV_ASSIGN_OR_RETURN(ColumnarResult in, child_->ExecuteColumnar(ctx));
-  if (!in.columnar || !CanVectorizeExpr(*predicate_, ctx->params)) {
-    LDV_ASSIGN_OR_RETURN(Batch rows,
-                         ColumnarToRows(ctx, &stats_, std::move(in)));
-    LDV_ASSIGN_OR_RETURN(Batch out, ProcessRows(ctx, std::move(rows)));
-    return WrapRows(std::move(out));
-  }
-  ColumnBatch& cb = in.columns;
-  const size_t n = cb.num_rows;
+Result<ColumnBatch> FilterNode::Produce(ExecContext* ctx) {
+  LDV_ASSIGN_OR_RETURN(ColumnBatch in, child_->Execute(ctx));
+  const size_t n = in.num_rows;
   std::vector<std::vector<size_t>> sels(NumMorsels(n));
   LDV_RETURN_IF_ERROR(RunMorsels(
       ctx, &stats_, n, [&](size_t begin, size_t end, size_t morsel) -> Status {
         ColumnVector pred;
-        EvalVector(*predicate_, cb, begin, end, ctx->params, &pred);
-        std::vector<uint8_t> keep;
-        VectorTruthy(pred, &keep);
-        std::vector<size_t>& sel = sels[morsel];
-        for (size_t i = 0; i < keep.size(); ++i) {
-          if (keep[i]) sel.push_back(begin + i);
-        }
+        LDV_RETURN_IF_ERROR(
+            EvalVector(*predicate_, in, begin, end, ctx->params, &pred));
+        AppendSelected(pred, begin, &sels[morsel]);
         return Status::Ok();
       }));
-  std::vector<size_t> sel;
-  {
-    size_t total = 0;
-    for (const auto& s : sels) total += s.size();
-    sel.reserve(total);
-    for (const auto& s : sels) sel.insert(sel.end(), s.begin(), s.end());
-  }
-
-  ColumnarResult out;
-  out.columnar = true;
-  out.batches = static_cast<int64_t>(NumMorsels(n));
-  ColumnBatch& oc = out.columns;
-  oc.num_rows = sel.size();
-  oc.cols.resize(cb.cols.size());
-  for (size_t c = 0; c < cb.cols.size(); ++c) {
-    oc.cols[c].type = cb.cols[c].type;
-    oc.cols[c].ResizeZero(sel.size());
-    if (cb.cols[c].nulls.empty()) oc.cols[c].nulls.clear();  // stay dense
-  }
-  LDV_RETURN_IF_ERROR(RunMorsels(
-      ctx, &stats_, sel.size(),
-      [&](size_t begin, size_t end, size_t) -> Status {
-        for (size_t c = 0; c < cb.cols.size(); ++c) {
-          GatherColumnRange(cb.cols[c], sel.data() + begin, end - begin, begin,
-                            &oc.cols[c]);
-        }
-        return Status::Ok();
-      }));
+  CountBatches(ctx, NumMorsels(n));
+  const std::vector<size_t> sel = ConcatParts(sels);
+  ColumnBatch out;
+  LDV_RETURN_IF_ERROR(GatherColumns(ctx, &stats_, in, sel, &out));
   if (ctx->track_lineage) {
-    oc.lineage.reserve(sel.size());
-    for (size_t i : sel) oc.lineage.push_back(std::move(cb.lineage[i]));
+    out.lineage.reserve(sel.size());
+    for (size_t i : sel) out.lineage.push_back(std::move(in.lineage[i]));
   }
   return out;
 }
@@ -403,70 +313,55 @@ Result<ColumnarResult> FilterNode::ExecuteColumnarImpl(ExecContext* ctx) {
 // ProjectNode: expression kernels per morsel
 // ---------------------------------------------------------------------------
 
-Result<ColumnarResult> ProjectNode::ExecuteColumnarImpl(ExecContext* ctx) {
-  LDV_ASSIGN_OR_RETURN(ColumnarResult in, child_->ExecuteColumnar(ctx));
-  bool can = in.columnar;
-  for (size_t e = 0; can && e < exprs_.size(); ++e) {
-    can = CanVectorizeExpr(*exprs_[e], ctx->params);
-  }
-  if (!can) {
-    LDV_ASSIGN_OR_RETURN(Batch rows,
-                         ColumnarToRows(ctx, &stats_, std::move(in)));
-    LDV_ASSIGN_OR_RETURN(Batch out, ProcessRows(ctx, std::move(rows)));
-    return WrapRows(std::move(out));
-  }
-  ColumnBatch& cb = in.columns;
-  const size_t n = cb.num_rows;
+Result<ColumnBatch> ProjectNode::Produce(ExecContext* ctx) {
+  LDV_ASSIGN_OR_RETURN(ColumnBatch in, child_->Execute(ctx));
+  const size_t n = in.num_rows;
   std::vector<ColumnBatch> parts(NumMorsels(n));
   LDV_RETURN_IF_ERROR(RunMorsels(
       ctx, &stats_, n, [&](size_t begin, size_t end, size_t morsel) -> Status {
         ColumnBatch& part = parts[morsel];
         part.cols.resize(exprs_.size());
         for (size_t e = 0; e < exprs_.size(); ++e) {
-          EvalVector(*exprs_[e], cb, begin, end, ctx->params, &part.cols[e]);
+          LDV_RETURN_IF_ERROR(EvalVector(*exprs_[e], in, begin, end,
+                                         ctx->params, &part.cols[e]));
         }
         part.num_rows = end - begin;
         return Status::Ok();
       }));
-  ColumnarResult out;
-  out.columnar = true;
-  out.batches = static_cast<int64_t>(NumMorsels(n));
-  out.columns = ConcatColumnBatches(std::move(parts));
-  if (out.columns.cols.empty()) out.columns.cols.resize(exprs_.size());
-  if (ctx->track_lineage) out.columns.lineage = std::move(cb.lineage);
+  CountBatches(ctx, NumMorsels(n));
+  ColumnBatch out = ConcatColumnBatches(std::move(parts));
+  if (out.cols.empty()) out.cols.resize(exprs_.size());
+  if (ctx->track_lineage) out.lineage = std::move(in.lineage);
   return out;
 }
 
 // ---------------------------------------------------------------------------
-// JoinNode: columnar hash build + probe (equi-join, no residual/outer)
+// JoinNode: columnar hash build + probe, or a nested loop; residuals over
+// gathered candidate pairs; outer padding
 // ---------------------------------------------------------------------------
 
-Result<ColumnarResult> JoinNode::ExecuteColumnarImpl(ExecContext* ctx) {
-  LDV_ASSIGN_OR_RETURN(ColumnarResult left, left_->ExecuteColumnar(ctx));
-  LDV_ASSIGN_OR_RETURN(ColumnarResult right, right_->ExecuteColumnar(ctx));
-  // The kernel covers the hot shape: hash equi-join, inner, no residual.
-  // Everything else (nested loop, outer padding, residual re-evaluation)
-  // stays on the row path.
-  if (!left.columnar || !right.columnar || key_pairs_.empty() ||
-      residual_ != nullptr || left_outer_) {
-    LDV_ASSIGN_OR_RETURN(Batch l, ColumnarToRows(ctx, &stats_, std::move(left)));
-    LDV_ASSIGN_OR_RETURN(Batch r,
-                         ColumnarToRows(ctx, &stats_, std::move(right)));
-    LDV_ASSIGN_OR_RETURN(Batch out,
-                         ProcessRows(ctx, std::move(l), std::move(r)));
-    return WrapRows(std::move(out));
-  }
-  ColumnBatch& lb = left.columns;
-  ColumnBatch& rb = right.columns;
+Result<ColumnBatch> JoinNode::Produce(ExecContext* ctx) {
+  LDV_ASSIGN_OR_RETURN(ColumnBatch lb, left_->Execute(ctx));
+  LDV_ASSIGN_OR_RETURN(ColumnBatch rb, right_->Execute(ctx));
   const bool lineage = ctx->track_lineage;
   const bool timing = ctx->profile;
+  const bool hashed = !key_pairs_.empty();
   const size_t num_rights = rb.num_rows;
   const size_t num_lefts = lb.num_rows;
+  const size_t lcols = lb.cols.size();
+  const size_t rcols = rb.cols.size();
 
   const int64_t build_start = timing ? NowNanos() : 0;
-  // Same row-equivalent budget charge as the row path: the build side is
-  // held materialized for the whole build+probe plus per-row bookkeeping.
-  {
+  using PartitionTable = std::unordered_map<uint64_t, std::vector<size_t>>;
+  const size_t num_partitions =
+      hashed && ctx->parallel()
+          ? std::min<size_t>(static_cast<size_t>(ctx->dop), 16)
+          : 1;
+  std::vector<PartitionTable> partitions(num_partitions);
+  if (hashed) {
+    // The build side is held materialized for the whole build+probe, plus
+    // per-row hash/bucket bookkeeping — charge it (row-equivalent) against
+    // the query budget before allocating any of it.
     size_t right_bytes = 0;
     for (size_t ri = 0; ri < num_rights; ++ri) {
       right_bytes += ApproxColumnRowBytes(rb, ri);
@@ -474,40 +369,33 @@ Result<ColumnarResult> JoinNode::ExecuteColumnarImpl(ExecContext* ctx) {
     LDV_RETURN_IF_ERROR(ctx->ChargeMemory(
         right_bytes +
         num_rights * (sizeof(uint64_t) + sizeof(char) + 3 * sizeof(size_t))));
-  }
 
-  // Hash the right key columns per morsel; bit-identical to HashTuple over
-  // the materialized key (shared per-type primitives + combiner).
-  std::vector<uint64_t> right_hash(num_rights);
-  std::vector<char> right_null_key(num_rights, 0);
-  LDV_RETURN_IF_ERROR(RunMorsels(
-      ctx, &stats_, num_rights,
-      [&](size_t begin, size_t end, size_t) -> Status {
-        for (size_t ri = begin; ri < end; ++ri) {
-          right_hash[ri] = storage::kTupleHashSeed;
-        }
-        for (const auto& [l, r] : key_pairs_) {
-          const ColumnVector& col = rb.cols[static_cast<size_t>(r)];
-          HashColumnCombine(col, begin, end - begin, &right_hash[begin]);
-          if (col.type == ValueType::kNull) {
-            for (size_t ri = begin; ri < end; ++ri) right_null_key[ri] = 1;
-          } else if (!col.nulls.empty()) {
-            for (size_t ri = begin; ri < end; ++ri) {
-              if (col.nulls[ri] != 0) right_null_key[ri] = 1;
+    // Hash the right key columns per morsel; bit-identical to HashTuple
+    // over the materialized key (shared per-type primitives + combiner).
+    std::vector<uint64_t> right_hash(num_rights);
+    std::vector<char> right_null_key(num_rights, 0);
+    LDV_RETURN_IF_ERROR(RunMorsels(
+        ctx, &stats_, num_rights,
+        [&](size_t begin, size_t end, size_t) -> Status {
+          for (size_t ri = begin; ri < end; ++ri) {
+            right_hash[ri] = storage::kTupleHashSeed;
+          }
+          for (const auto& [l, r] : key_pairs_) {
+            const ColumnVector& col = rb.cols[static_cast<size_t>(r)];
+            HashColumnCombine(col, begin, end - begin, &right_hash[begin]);
+            if (col.boxed || col.type == ValueType::kNull ||
+                !col.nulls.empty()) {
+              for (size_t ri = begin; ri < end; ++ri) {
+                if (col.IsNull(ri)) right_null_key[ri] = 1;
+              }
             }
           }
-        }
-        return Status::Ok();
-      }));
+          return Status::Ok();
+        }));
 
-  // Identical partitioned build to the row path: hash-disjoint partitions,
-  // bucket lists in ascending right-row order.
-  using PartitionTable = std::unordered_map<uint64_t, std::vector<size_t>>;
-  const size_t num_partitions =
-      ctx->parallel() ? std::min<size_t>(static_cast<size_t>(ctx->dop), 16)
-                      : 1;
-  std::vector<PartitionTable> partitions(num_partitions);
-  {
+    // Hash-disjoint partitions built concurrently; bucket lists hold
+    // right-row indexes in ascending order. SQL equality never matches
+    // NULL, so null-keyed right rows skip the build.
     std::vector<std::function<Status()>> build_tasks;
     build_tasks.reserve(num_partitions);
     for (size_t p = 0; p < num_partitions; ++p) {
@@ -529,78 +417,140 @@ Result<ColumnarResult> JoinNode::ExecuteColumnarImpl(ExecContext* ctx) {
     }
   }
   const int64_t probe_start = timing ? NowNanos() : 0;
-  if (timing) stats_.build_nanos += probe_start - build_start;
+  if (timing && hashed) stats_.build_nanos += probe_start - build_start;
 
-  // Probe per left morsel, collecting (left, right) match pairs; per-morsel
-  // pair lists concatenate to left order with ascending right order within
-  // a left row — the row path's emission order exactly.
-  std::vector<std::vector<std::pair<size_t, size_t>>> pair_parts(
-      NumMorsels(num_lefts));
+  // Probe per left morsel, collecting (left, right) pairs: left order, and
+  // ascending right order within a left row, at every DOP. kNoRow pads an
+  // unmatched left row of an outer join.
+  constexpr size_t kNoRow = SIZE_MAX;
+  using Pairs = std::vector<std::pair<size_t, size_t>>;
+  std::vector<Pairs> pair_parts(NumMorsels(num_lefts));
   LDV_RETURN_IF_ERROR(RunMorsels(
       ctx, &stats_, num_lefts,
       [&](size_t begin, size_t end, size_t morsel) -> Status {
-        auto& pairs = pair_parts[morsel];
-        const size_t count = end - begin;
-        std::vector<uint64_t> left_hash(count, storage::kTupleHashSeed);
-        std::vector<char> left_null_key(count, 0);
-        for (const auto& [l, r] : key_pairs_) {
-          const ColumnVector& col = lb.cols[static_cast<size_t>(l)];
-          HashColumnCombine(col, begin, count, left_hash.data());
-          if (col.type == ValueType::kNull) {
-            std::fill(left_null_key.begin(), left_null_key.end(), 1);
-          } else if (!col.nulls.empty()) {
-            for (size_t k = 0; k < count; ++k) {
-              if (col.nulls[begin + k] != 0) left_null_key[k] = 1;
+        Pairs& pairs = pair_parts[morsel];
+        // Key-matched pairs awaiting the residual, evaluated kMorselRows at
+        // a time over their gathered cells.
+        Pairs cand;
+        auto flush = [&]() -> Status {
+          const size_t count = cand.size();
+          std::vector<size_t> lsel(count), rsel(count);
+          for (size_t k = 0; k < count; ++k) {
+            lsel[k] = cand[k].first;
+            rsel[k] = cand[k].second;
+          }
+          ColumnBatch gathered;
+          gathered.num_rows = count;
+          gathered.cols.resize(lcols + rcols);
+          for (size_t c = 0; c < lcols + rcols; ++c) {
+            const bool is_left = c < lcols;
+            const ColumnVector& src =
+                is_left ? lb.cols[c] : rb.cols[c - lcols];
+            gathered.cols[c].ResizeLike(src, count);
+            GatherColumnRange(src, is_left ? lsel.data() : rsel.data(), count,
+                              0, &gathered.cols[c]);
+          }
+          ColumnVector pred;
+          LDV_RETURN_IF_ERROR(EvalVector(*residual_, gathered, 0, count,
+                                         ctx->params, &pred));
+          std::vector<size_t> keep;
+          AppendSelected(pred, 0, &keep);
+          for (size_t k : keep) pairs.push_back(cand[k]);
+          cand.clear();
+          return Status::Ok();
+        };
+        auto match = [&](size_t li, size_t ri) -> Status {
+          cand.emplace_back(li, ri);
+          return cand.size() == kMorselRows ? flush() : Status::Ok();
+        };
+
+        if (hashed) {
+          const size_t count = end - begin;
+          std::vector<uint64_t> left_hash(count, storage::kTupleHashSeed);
+          std::vector<char> left_null_key(count, 0);
+          for (const auto& [l, r] : key_pairs_) {
+            const ColumnVector& col = lb.cols[static_cast<size_t>(l)];
+            HashColumnCombine(col, begin, count, left_hash.data());
+            if (col.boxed || col.type == ValueType::kNull ||
+                !col.nulls.empty()) {
+              for (size_t k = 0; k < count; ++k) {
+                if (col.IsNull(begin + k)) left_null_key[k] = 1;
+              }
+            }
+          }
+          for (size_t li = begin; li < end; ++li) {
+            if (left_null_key[li - begin]) continue;  // NULL never matches
+            const uint64_t h = left_hash[li - begin];
+            const PartitionTable& table = partitions[h % num_partitions];
+            auto it = table.find(h);
+            if (it == table.end()) continue;
+            for (size_t ri : it->second) {
+              // Verify equality (hash collisions, and = semantics with
+              // coercion).
+              bool keys_equal = true;
+              for (size_t k = 0; keys_equal && k < key_pairs_.size(); ++k) {
+                keys_equal = JoinKeyCellsEqual(
+                    lb.cols[static_cast<size_t>(key_pairs_[k].first)], li,
+                    rb.cols[static_cast<size_t>(key_pairs_[k].second)], ri);
+              }
+              if (!keys_equal) continue;
+              if (residual_ == nullptr) {
+                pairs.emplace_back(li, ri);
+              } else {
+                LDV_RETURN_IF_ERROR(match(li, ri));
+              }
+            }
+          }
+        } else {
+          // Nested loop (the residual is the join predicate). One morsel
+          // covers kMorselRows left rows x |right| pairs — far more work
+          // than any other morsel — so the governor is also checked at a
+          // fixed pair stride (thread_local: each worker counts its own
+          // pairs). A cross join is cancellable mid-morsel.
+          thread_local size_t pairs_since_check = 0;
+          for (size_t li = begin; li < end; ++li) {
+            for (size_t ri = 0; ri < num_rights; ++ri) {
+              if (++pairs_since_check >= kMorselRows) {
+                pairs_since_check = 0;
+                LDV_RETURN_IF_ERROR(ctx->CheckGovernor());
+              }
+              if (residual_ == nullptr) {
+                pairs.emplace_back(li, ri);
+              } else {
+                LDV_RETURN_IF_ERROR(match(li, ri));
+              }
             }
           }
         }
-        for (size_t li = begin; li < end; ++li) {
-          if (left_null_key[li - begin]) continue;  // NULL never matches
-          const uint64_t h = left_hash[li - begin];
-          const PartitionTable& table = partitions[h % num_partitions];
-          auto it = table.find(h);
-          if (it == table.end()) continue;
-          for (size_t ri : it->second) {
-            bool keys_equal = true;
-            for (size_t k = 0; keys_equal && k < key_pairs_.size(); ++k) {
-              keys_equal = JoinKeyCellsEqual(
-                  lb.cols[static_cast<size_t>(key_pairs_[k].first)], li,
-                  rb.cols[static_cast<size_t>(key_pairs_[k].second)], ri);
+        if (!cand.empty()) LDV_RETURN_IF_ERROR(flush());
+        if (left_outer_) {
+          // Pad every left row that kept no pair, in left order.
+          Pairs padded;
+          padded.reserve(pairs.size() + (end - begin));
+          size_t p = 0;
+          for (size_t li = begin; li < end; ++li) {
+            if (p == pairs.size() || pairs[p].first != li) {
+              padded.emplace_back(li, kNoRow);
             }
-            if (keys_equal) pairs.emplace_back(li, ri);
+            while (p < pairs.size() && pairs[p].first == li) {
+              padded.push_back(pairs[p++]);
+            }
           }
+          pairs = std::move(padded);
         }
         return Status::Ok();
       }));
+  CountBatches(ctx, NumMorsels(num_rights) + NumMorsels(num_lefts));
 
-  std::vector<std::pair<size_t, size_t>> pairs;
-  {
-    size_t total = 0;
-    for (const auto& p : pair_parts) total += p.size();
-    pairs.reserve(total);
-    for (const auto& p : pair_parts) {
-      pairs.insert(pairs.end(), p.begin(), p.end());
-    }
-  }
-
-  ColumnarResult out;
-  out.columnar = true;
-  out.batches =
-      static_cast<int64_t>(NumMorsels(num_rights) + NumMorsels(num_lefts));
-  ColumnBatch& oc = out.columns;
-  const size_t lcols = lb.cols.size();
-  const size_t rcols = rb.cols.size();
+  const Pairs pairs = ConcatParts(pair_parts);
+  ColumnBatch oc;
   oc.num_rows = pairs.size();
   oc.cols.resize(lcols + rcols);
   for (size_t c = 0; c < lcols; ++c) {
-    oc.cols[c].type = lb.cols[c].type;
-    oc.cols[c].ResizeZero(pairs.size());
-    if (lb.cols[c].nulls.empty()) oc.cols[c].nulls.clear();  // stay dense
+    oc.cols[c].ResizeLike(lb.cols[c], pairs.size());
   }
   for (size_t c = 0; c < rcols; ++c) {
-    oc.cols[lcols + c].type = rb.cols[c].type;
-    oc.cols[lcols + c].ResizeZero(pairs.size());
-    if (rb.cols[c].nulls.empty()) oc.cols[lcols + c].nulls.clear();
+    oc.cols[lcols + c].ResizeLike(rb.cols[c], pairs.size(), left_outer_);
   }
   if (lineage) oc.lineage.resize(pairs.size());
   LDV_RETURN_IF_ERROR(RunMorsels(
@@ -610,26 +560,35 @@ Result<ColumnarResult> JoinNode::ExecuteColumnarImpl(ExecContext* ctx) {
         std::vector<size_t> lsel(count), rsel(count);
         for (size_t k = 0; k < count; ++k) {
           lsel[k] = pairs[begin + k].first;
-          rsel[k] = pairs[begin + k].second;
+          // A padded row gathers right row 0 and is then set to NULL.
+          rsel[k] = pairs[begin + k].second == kNoRow
+                        ? 0
+                        : pairs[begin + k].second;
         }
         for (size_t c = 0; c < lcols; ++c) {
           GatherColumnRange(lb.cols[c], lsel.data(), count, begin, &oc.cols[c]);
         }
-        for (size_t c = 0; c < rcols; ++c) {
-          GatherColumnRange(rb.cols[c], rsel.data(), count, begin,
-                            &oc.cols[lcols + c]);
+        if (num_rights > 0) {
+          for (size_t c = 0; c < rcols; ++c) {
+            GatherColumnRange(rb.cols[c], rsel.data(), count, begin,
+                              &oc.cols[lcols + c]);
+          }
         }
-        if (lineage) {
-          for (size_t i = begin; i < end; ++i) {
-            LineageSet merged = lb.lineage[pairs[i].first];
-            MergeLineage(&merged, rb.lineage[pairs[i].second]);
+        for (size_t i = begin; (left_outer_ || lineage) && i < end; ++i) {
+          const auto [li, ri] = pairs[i];
+          if (ri == kNoRow) {
+            for (size_t c = 0; c < rcols; ++c) oc.cols[lcols + c].SetNull(i);
+            if (lineage) oc.lineage[i] = lb.lineage[li];
+          } else if (lineage) {
+            LineageSet merged = lb.lineage[li];
+            MergeLineage(&merged, rb.lineage[ri]);
             oc.lineage[i] = std::move(merged);
           }
         }
         return Status::Ok();
       }));
-  if (timing) stats_.probe_nanos += NowNanos() - probe_start;
-  return out;
+  if (timing && hashed) stats_.probe_nanos += NowNanos() - probe_start;
+  return oc;
 }
 
 // ---------------------------------------------------------------------------
@@ -730,25 +689,36 @@ size_t FindOrCreateGroupCell(GroupTable* table, uint64_t hash,
 
 /// One aggregate over a whole morsel with the function and argument-type
 /// dispatch hoisted out of the row loop; per-cell effects are identical to
-/// AccumulateCell in morsel order.
-void AccumulateColumn(GroupTable* table, const std::vector<size_t>& gids,
-                      size_t slot, AggregateSpec::Fn fn,
-                      const ColumnVector* arg) {
+/// internal::Accumulate over the cells' Values in morsel order.
+Status AccumulateColumn(GroupTable* table, const std::vector<size_t>& gids,
+                        size_t slot, AggregateSpec::Fn fn,
+                        const ColumnVector* arg) {
   std::vector<GroupState>& groups = table->groups;
   const size_t n = gids.size();
+  const bool sum = fn == AggregateSpec::Fn::kSum || fn == AggregateSpec::Fn::kAvg;
+  if (arg != nullptr &&
+      (arg->boxed || (sum && arg->type == ValueType::kString))) {
+    // Boxed cells (possibly of mixed types), and SUM/AVG over text (an
+    // error), take the Value-at-a-time accumulator.
+    for (size_t i = 0; i < n; ++i) {
+      LDV_RETURN_IF_ERROR(internal::Accumulate(&groups[gids[i]].aggs[slot],
+                                               fn, arg->GetValue(i)));
+    }
+    return Status::Ok();
+  }
   switch (fn) {
     case AggregateSpec::Fn::kCountStar:
       for (size_t i = 0; i < n; ++i) ++groups[gids[i]].aggs[slot].count;
-      return;
+      return Status::Ok();
     case AggregateSpec::Fn::kCount:
       for (size_t i = 0; i < n; ++i) {
         if (!arg->IsNull(i)) ++groups[gids[i]].aggs[slot].count;
       }
-      return;
+      return Status::Ok();
     case AggregateSpec::Fn::kSum:
     case AggregateSpec::Fn::kAvg:
-      // A kNull argument never accumulates; kString was gated to the row
-      // engine. The slot's partial state is fed only by this single-typed
+      // A kNull argument never accumulates; kString took the Value path
+      // above. The slot's partial state is fed only by this single-typed
       // vector, so an int sum can never flip to double mid-morsel.
       if (arg->type == ValueType::kInt64) {
         for (size_t i = 0; i < n; ++i) {
@@ -775,57 +745,41 @@ void AccumulateColumn(GroupTable* table, const std::vector<size_t>& gids,
           state.sum_double += arg->f64[i];
         }
       }
-      return;
+      return Status::Ok();
     case AggregateSpec::Fn::kMin:
     case AggregateSpec::Fn::kMax:
       for (size_t i = 0; i < n; ++i) {
         AccumulateCell(&groups[gids[i]].aggs[slot], fn, arg, i);
       }
-      return;
+      return Status::Ok();
   }
+  return Status::Internal("unreachable aggregate fn");
 }
 
 }  // namespace
 
-Result<ColumnarResult> AggregateNode::ExecuteColumnarImpl(ExecContext* ctx) {
-  LDV_ASSIGN_OR_RETURN(ColumnarResult in, child_->ExecuteColumnar(ctx));
-  bool can = in.columnar;
-  for (size_t g = 0; can && g < group_exprs_.size(); ++g) {
-    can = CanVectorizeExpr(*group_exprs_[g], ctx->params);
-  }
-  for (size_t a = 0; can && a < aggs_.size(); ++a) {
-    if (aggs_[a].arg == nullptr) continue;
-    can = CanVectorizeExpr(*aggs_[a].arg, ctx->params);
-    // SUM/AVG over strings is a row-engine error path; keep it there.
-    if (can &&
-        (aggs_[a].fn == AggregateSpec::Fn::kSum ||
-         aggs_[a].fn == AggregateSpec::Fn::kAvg) &&
-        aggs_[a].arg->result_type == ValueType::kString) {
-      can = false;
-    }
-  }
-  if (!can) {
-    LDV_ASSIGN_OR_RETURN(Batch rows,
-                         ColumnarToRows(ctx, &stats_, std::move(in)));
-    LDV_ASSIGN_OR_RETURN(Batch out, ProcessRows(ctx, std::move(rows)));
-    return WrapRows(std::move(out));
-  }
-  ColumnBatch& cb = in.columns;
+Result<ColumnBatch> AggregateNode::Produce(ExecContext* ctx) {
+  LDV_ASSIGN_OR_RETURN(ColumnBatch cb, child_->Execute(ctx));
   const bool lineage = ctx->track_lineage;
   const size_t n = cb.num_rows;
 
+  // Phase 1: morsel-local partial group tables. The partials depend only
+  // on the (fixed) morsel boundaries, so phase 2's merge — and with it
+  // every result bit — is reproducible at any DOP.
   std::vector<GroupTable> partials(NumMorsels(n));
   LDV_RETURN_IF_ERROR(RunMorsels(
       ctx, &stats_, n, [&](size_t begin, size_t end, size_t morsel) -> Status {
         GroupTable& local = partials[morsel];
         std::vector<ColumnVector> keys(group_exprs_.size());
         for (size_t g = 0; g < group_exprs_.size(); ++g) {
-          EvalVector(*group_exprs_[g], cb, begin, end, ctx->params, &keys[g]);
+          LDV_RETURN_IF_ERROR(EvalVector(*group_exprs_[g], cb, begin, end,
+                                         ctx->params, &keys[g]));
         }
         std::vector<ColumnVector> args(aggs_.size());
         for (size_t a = 0; a < aggs_.size(); ++a) {
           if (aggs_[a].arg != nullptr) {
-            EvalVector(*aggs_[a].arg, cb, begin, end, ctx->params, &args[a]);
+            LDV_RETURN_IF_ERROR(EvalVector(*aggs_[a].arg, cb, begin, end,
+                                           ctx->params, &args[a]));
           }
         }
         const size_t count = end - begin;
@@ -839,16 +793,21 @@ Result<ColumnarResult> AggregateNode::ExecuteColumnarImpl(ExecContext* ctx) {
                                           aggs_.size());
         }
         for (size_t a = 0; a < aggs_.size(); ++a) {
-          AccumulateColumn(&local, gids, a, aggs_[a].fn,
-                           aggs_[a].arg != nullptr ? &args[a] : nullptr);
+          LDV_RETURN_IF_ERROR(
+              AccumulateColumn(&local, gids, a, aggs_[a].fn,
+                               aggs_[a].arg != nullptr ? &args[a] : nullptr));
         }
         if (lineage) {
+          // Append now, dedup once at finalize: merging per row keeps the
+          // whole accumulation quadratic for large groups (e.g. count(*)
+          // over a join).
           for (size_t i = 0; i < count; ++i) {
             const LineageSet& src = cb.lineage[begin + i];
             GroupState& group = local.groups[gids[i]];
             group.lineage.insert(group.lineage.end(), src.begin(), src.end());
           }
         }
+        // The partials are all retained until the phase-2 merge.
         size_t partial_bytes = 0;
         for (const GroupState& g : local.groups) {
           partial_bytes += sizeof(GroupState) + ApproxTupleBytes(g.keys) +
@@ -856,31 +815,17 @@ Result<ColumnarResult> AggregateNode::ExecuteColumnarImpl(ExecContext* ctx) {
         }
         return ctx->ChargeMemory(partial_bytes);
       }));
-
-  LDV_ASSIGN_OR_RETURN(
-      Batch rows, MergeAndFinalizeGroups(std::move(partials), aggs_,
-                                         !group_exprs_.empty(), lineage));
-  // Group counts are small; hand the result on as rows (HAVING filters and
-  // projections above fall back harmlessly).
-  ColumnarResult out;
-  out.rows = std::move(rows);
-  out.batches = static_cast<int64_t>(NumMorsels(n));
-  return out;
+  CountBatches(ctx, NumMorsels(n));
+  return MergeAndFinalizeGroups(std::move(partials), aggs_,
+                                group_exprs_.size(), lineage);
 }
 
 // ---------------------------------------------------------------------------
 // DistinctNode: hash dedup over column cells
 // ---------------------------------------------------------------------------
 
-Result<ColumnarResult> DistinctNode::ExecuteColumnarImpl(ExecContext* ctx) {
-  LDV_ASSIGN_OR_RETURN(ColumnarResult in, child_->ExecuteColumnar(ctx));
-  if (!in.columnar) {
-    LDV_ASSIGN_OR_RETURN(Batch rows,
-                         ColumnarToRows(ctx, &stats_, std::move(in)));
-    LDV_ASSIGN_OR_RETURN(Batch out, ProcessRows(ctx, std::move(rows)));
-    return WrapRows(std::move(out));
-  }
-  ColumnBatch& cb = in.columns;
+Result<ColumnBatch> DistinctNode::Produce(ExecContext* ctx) {
+  LDV_ASSIGN_OR_RETURN(ColumnBatch cb, child_->Execute(ctx));
   const bool lineage = ctx->track_lineage;
   const size_t n = cb.num_rows;
 
@@ -960,39 +905,127 @@ Result<ColumnarResult> DistinctNode::ExecuteColumnarImpl(ExecContext* ctx) {
     }
   }
 
-  ColumnarResult out;
-  out.columnar = true;
-  out.batches = static_cast<int64_t>(NumMorsels(n));
-  ColumnBatch& oc = out.columns;
-  oc.num_rows = kept.size();
-  oc.cols.resize(cb.cols.size());
-  for (size_t c = 0; c < cb.cols.size(); ++c) {
-    oc.cols[c].type = cb.cols[c].type;
-    oc.cols[c].ResizeZero(kept.size());
-    if (cb.cols[c].nulls.empty()) oc.cols[c].nulls.clear();  // stay dense
-  }
-  LDV_RETURN_IF_ERROR(RunMorsels(
-      ctx, &stats_, kept.size(),
-      [&](size_t begin, size_t end, size_t) -> Status {
-        for (size_t c = 0; c < cb.cols.size(); ++c) {
-          GatherColumnRange(cb.cols[c], kept.data() + begin, end - begin,
-                            begin, &oc.cols[c]);
-        }
-        return Status::Ok();
-      }));
-  if (lineage) oc.lineage = std::move(kept_lineage);
+  CountBatches(ctx, NumMorsels(n));
+  ColumnBatch out;
+  LDV_RETURN_IF_ERROR(GatherColumns(ctx, &stats_, cb, kept, &out));
+  if (lineage) out.lineage = std::move(kept_lineage);
   return out;
 }
 
 // ---------------------------------------------------------------------------
-// SortLimitNode: no sort kernel — children vectorize, the sort runs on rows
+// SortLimitNode: key columns, per-morsel stable sorts, index tie-break merge
 // ---------------------------------------------------------------------------
 
-Result<ColumnarResult> SortLimitNode::ExecuteColumnarImpl(ExecContext* ctx) {
-  LDV_ASSIGN_OR_RETURN(ColumnarResult in, child_->ExecuteColumnar(ctx));
-  LDV_ASSIGN_OR_RETURN(Batch rows, ColumnarToRows(ctx, &stats_, std::move(in)));
-  LDV_ASSIGN_OR_RETURN(Batch out, ProcessRows(ctx, std::move(rows)));
-  return WrapRows(std::move(out));
+namespace {
+
+/// Three-way comparison of cells `a` and `b` of one sort-key column with
+/// Value::Compare's order (NULLs first); an incomparable pair ties.
+int CompareSortCells(const ColumnVector& col, size_t a, size_t b) {
+  const bool a_null = col.IsNull(a);
+  const bool b_null = col.IsNull(b);
+  if (a_null || b_null) return a_null == b_null ? 0 : (a_null ? -1 : 1);
+  return CompareCells(col, a, col, b);
+}
+
+}  // namespace
+
+Result<ColumnBatch> SortLimitNode::Produce(ExecContext* ctx) {
+  LDV_ASSIGN_OR_RETURN(ColumnBatch in, child_->Execute(ctx));
+  const size_t n = in.num_rows;
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+
+  if (!keys_.empty() && n > 1) {
+    // Evaluate the sort keys per morsel (errors surface before sorting,
+    // lowest-indexed morsel first — the serial error too).
+    std::vector<ColumnBatch> key_parts(NumMorsels(n));
+    LDV_RETURN_IF_ERROR(RunMorsels(
+        ctx, &stats_, n,
+        [&](size_t begin, size_t end, size_t morsel) -> Status {
+          ColumnBatch& part = key_parts[morsel];
+          part.num_rows = end - begin;
+          part.cols.resize(keys_.size());
+          for (size_t k = 0; k < keys_.size(); ++k) {
+            LDV_RETURN_IF_ERROR(EvalVector(*keys_[k].expr, in, begin, end,
+                                           ctx->params, &part.cols[k]));
+          }
+          // The evaluated sort keys are retained for the whole sort+merge.
+          size_t bytes = (end - begin) * sizeof(size_t);
+          for (size_t i = 0; i < part.num_rows; ++i) {
+            bytes += ApproxColumnRowBytes(part, i);
+          }
+          return ctx->ChargeMemory(bytes);
+        }));
+    const ColumnBatch sort_keys = ConcatColumnBatches(std::move(key_parts));
+    auto key_less = [&](size_t a, size_t b) {
+      for (size_t k = 0; k < keys_.size(); ++k) {
+        const int c = CompareSortCells(sort_keys.cols[k], a, b);
+        if (c != 0) return keys_[k].ascending ? c < 0 : c > 0;
+      }
+      return false;
+    };
+
+    // Sort each morsel's index range (stable within the morsel), then
+    // k-way merge the runs, breaking key ties by original index — which
+    // reproduces one global stable sort at any DOP.
+    LDV_RETURN_IF_ERROR(RunMorsels(
+        ctx, &stats_, n, [&](size_t begin, size_t end, size_t) -> Status {
+          std::stable_sort(order.begin() + static_cast<long>(begin),
+                           order.begin() + static_cast<long>(end), key_less);
+          return Status::Ok();
+        }));
+    const size_t num_runs = NumMorsels(n);
+    if (num_runs > 1) {
+      auto merge_less = [&](size_t a, size_t b) {
+        if (key_less(a, b)) return true;
+        if (key_less(b, a)) return false;
+        return a < b;  // stability: input order among equal keys
+      };
+      std::vector<size_t> run_pos(num_runs), run_end(num_runs);
+      for (size_t r = 0; r < num_runs; ++r) {
+        run_pos[r] = r * kMorselRows;
+        run_end[r] = std::min(n, run_pos[r] + kMorselRows);
+      }
+      std::vector<size_t> merged;
+      merged.reserve(n);
+      const size_t want =
+          limit_.has_value() && *limit_ >= 0 &&
+                  static_cast<size_t>(*limit_) < n
+              ? static_cast<size_t>(*limit_)
+              : n;
+      while (merged.size() < want) {
+        // The k-way merge is serial and can cover the full input; keep it
+        // cancellable at the same stride the morsel loops use.
+        if ((merged.size() % kMorselRows) == kMorselRows - 1) {
+          LDV_RETURN_IF_ERROR(ctx->CheckGovernor());
+        }
+        size_t best = SIZE_MAX;
+        for (size_t r = 0; r < num_runs; ++r) {
+          if (run_pos[r] == run_end[r]) continue;
+          if (best == SIZE_MAX ||
+              merge_less(order[run_pos[r]], order[run_pos[best]])) {
+            best = r;
+          }
+        }
+        if (best == SIZE_MAX) break;
+        merged.push_back(order[run_pos[best]++]);
+      }
+      order = std::move(merged);
+    }
+    CountBatches(ctx, num_runs);
+  }
+
+  if (limit_.has_value() && *limit_ >= 0 &&
+      static_cast<size_t>(*limit_) < order.size()) {
+    order.resize(static_cast<size_t>(*limit_));
+  }
+  ColumnBatch out;
+  LDV_RETURN_IF_ERROR(GatherColumns(ctx, &stats_, in, order, &out));
+  if (ctx->track_lineage) {
+    out.lineage.reserve(order.size());
+    for (size_t i : order) out.lineage.push_back(std::move(in.lineage[i]));
+  }
+  return out;
 }
 
 }  // namespace ldv::exec

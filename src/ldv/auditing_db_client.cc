@@ -8,35 +8,6 @@
 
 namespace ldv {
 
-std::vector<std::string> ReferencedTables(const sql::Statement& stmt) {
-  std::vector<std::string> tables;
-  auto add_select = [&tables](const sql::SelectStmt* select) {
-    if (select == nullptr) return;
-    for (const sql::TableRef& ref : select->from) tables.push_back(ref.table);
-  };
-  switch (stmt.kind) {
-    case sql::StatementKind::kSelect:
-      add_select(stmt.select.get());
-      break;
-    case sql::StatementKind::kInsert:
-      tables.push_back(stmt.insert->table);
-      add_select(stmt.insert->select.get());
-      break;
-    case sql::StatementKind::kUpdate:
-      tables.push_back(stmt.update->table);
-      break;
-    case sql::StatementKind::kDelete:
-      tables.push_back(stmt.del->table);
-      break;
-    case sql::StatementKind::kCopy:
-      tables.push_back(stmt.copy->table);
-      break;
-    default:
-      break;
-  }
-  return tables;
-}
-
 Result<exec::ResultSet> AuditingDbClient::Execute(
     const net::DbRequest& request) {
   // Parse once to classify the statement and find the touched tables.
@@ -52,7 +23,7 @@ Result<exec::ResultSet> AuditingDbClient::Execute(
 
   if (mode == PackageMode::kServerIncluded) {
     // First-touch registration: version tracking + schema capture (§VII-B).
-    for (const std::string& table : ReferencedTables(parsed)) {
+    for (const std::string& table : sql::ReferencedTables(parsed)) {
       LDV_RETURN_IF_ERROR(auditor_->EnsureTableRegistered(table));
     }
   }

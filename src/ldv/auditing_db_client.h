@@ -30,10 +30,6 @@ class AuditingDbClient final : public net::DbClient {
   int64_t process_id_;
 };
 
-/// Referenced table names of a parsed statement (used for first-touch
-/// registration). Exposed for tests.
-std::vector<std::string> ReferencedTables(const sql::Statement& stmt);
-
 }  // namespace ldv
 
 #endif  // LDV_LDV_AUDITING_DB_CLIENT_H_

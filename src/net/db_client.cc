@@ -93,38 +93,19 @@ const std::string* MutationTarget(const sql::Statement& stmt) {
   }
 }
 
-void CollectSelectTables(const sql::SelectStmt& select,
-                         std::vector<std::string>* out);
-
-void CollectExprTables(const sql::Expr& expr, std::vector<std::string>* out) {
-  for (const auto& child : expr.children) {
-    if (child != nullptr) CollectExprTables(*child, out);
+/// Ids of the existing tables `stmt` reads or writes, ascending — the
+/// order every data-lock set is acquired in. Names that resolve to nothing
+/// are the planner's problem; locking just skips them.
+std::vector<int32_t> ReferencedTableIds(storage::Database* db,
+                                        const sql::Statement& stmt) {
+  std::vector<int32_t> ids;
+  for (const std::string& name : sql::ReferencedTables(stmt)) {
+    const storage::Table* table = db->FindTable(name);
+    if (table != nullptr) ids.push_back(table->id());
   }
-  if (expr.subquery != nullptr) CollectSelectTables(*expr.subquery, out);
-}
-
-/// Every table name a SELECT may read: FROM entries plus the tables of any
-/// subquery anywhere in the tree. Names that resolve to nothing are the
-/// planner's problem; the read path just skips them.
-void CollectSelectTables(const sql::SelectStmt& select,
-                         std::vector<std::string>* out) {
-  for (const auto& ref : select.from) {
-    out->push_back(ref.table);
-    if (ref.join_condition != nullptr) {
-      CollectExprTables(*ref.join_condition, out);
-    }
-  }
-  for (const auto& item : select.items) {
-    if (item.expr != nullptr) CollectExprTables(*item.expr, out);
-  }
-  if (select.where != nullptr) CollectExprTables(*select.where, out);
-  for (const auto& expr : select.group_by) {
-    if (expr != nullptr) CollectExprTables(*expr, out);
-  }
-  if (select.having != nullptr) CollectExprTables(*select.having, out);
-  for (const auto& item : select.order_by) {
-    if (item.expr != nullptr) CollectExprTables(*item.expr, out);
-  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
 }
 
 }  // namespace
@@ -339,7 +320,8 @@ Result<exec::ResultSet> EngineHandle::ExecuteStatement(
   // they read).
   if (stmt.kind == sql::StatementKind::kSelect && !stmt.provenance &&
       txn_owner_.load(std::memory_order_acquire) != session_id) {
-    return ExecConcurrentRead(stmt, request, &governor, prepared);
+    return ExecConcurrentRead(stmt, request, effective_sql, &governor,
+                              prepared);
   }
 
   uint64_t sync_lsn = 0;
@@ -385,15 +367,25 @@ Result<exec::ResultSet> EngineHandle::ExecuteStatement(
       // Data locks (DESIGN.md §12): DML and COPY take the target table
       // exclusively so snapshot readers never observe a row vector
       // mid-mutation; DDL takes the catalog exclusively so readers never
-      // observe the table set or a schema changing. SELECTs here (the
-      // transaction owner's reads, provenance queries) take none — mu_
-      // already excludes every other writer, and snapshot readers do not
-      // touch the fields provenance stamps.
+      // observe the table set or a schema changing. A provenance statement
+      // stamps the used-by fields of every row it reads, which snapshot
+      // readers project as prov_usedby/prov_p, so it takes every table it
+      // reads or writes exclusively, in ascending id order (the readers'
+      // order). Other SELECTs here (the transaction owner's reads) take
+      // none — mu_ already excludes every other writer.
       txn::LockSet data_locks;
       storage::Table* locked_table = nullptr;
       Status acquired = Status::Ok();
-      if (mutates) {
-        auto poll = [&governor] { return governor.Check(); };
+      auto poll = [&governor] { return governor.Check(); };
+      if (stmt.provenance) {
+        for (int32_t id : ReferencedTableIds(db(), stmt)) {
+          acquired = data_locks.AcquireExclusive(locks_.TableLock(id), poll);
+          if (!acquired.ok()) break;
+        }
+        if (const std::string* target = MutationTarget(stmt)) {
+          locked_table = db()->FindTable(*target);
+        }
+      } else if (mutates) {
         if (IsDdl(stmt)) {
           acquired = data_locks.AcquireExclusive(locks_.catalog(), poll);
         } else if (const std::string* target = MutationTarget(stmt)) {
@@ -669,12 +661,13 @@ void EngineHandle::AbortSession(int64_t session_id) {
 
 Result<exec::ResultSet> EngineHandle::ExecConcurrentRead(
     const sql::Statement& stmt, const DbRequest& request,
-    exec::QueryGovernor* governor, const PreparedRun* prepared) {
+    const std::string& effective_sql, exec::QueryGovernor* governor,
+    const PreparedRun* prepared) {
   obs::Span span("engine.read", "engine");
   if (span.recording()) {
-    span.AddArg("sql", request.sql.size() <= 120
-                           ? request.sql
-                           : request.sql.substr(0, 117) + "...");
+    span.AddArg("sql", effective_sql.size() <= 120
+                           ? effective_sql
+                           : effective_sql.substr(0, 117) + "...");
   }
   auto poll = [governor] { return governor->Check(); };
 
@@ -685,16 +678,7 @@ Result<exec::ResultSet> EngineHandle::ExecConcurrentRead(
   // deadlock-free; waiters stay cancellable through the governor poll.
   txn::LockSet locks;
   LDV_RETURN_IF_ERROR(locks.AcquireShared(locks_.catalog(), poll));
-  std::vector<std::string> names;
-  CollectSelectTables(*stmt.select, &names);
-  std::vector<int32_t> ids;
-  for (const std::string& name : names) {
-    const storage::Table* table = db()->FindTable(name);
-    if (table != nullptr) ids.push_back(table->id());
-  }
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  for (int32_t id : ids) {
+  for (int32_t id : ReferencedTableIds(db(), stmt)) {
     LDV_RETURN_IF_ERROR(locks.AcquireShared(locks_.TableLock(id), poll));
   }
 

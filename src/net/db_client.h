@@ -205,6 +205,7 @@ class EngineHandle {
   /// through the shared plan cache instead of being planned per call.
   Result<exec::ResultSet> ExecConcurrentRead(const sql::Statement& stmt,
                                              const DbRequest& request,
+                                             const std::string& effective_sql,
                                              exec::QueryGovernor* governor,
                                              const PreparedRun* prepared);
   /// Everything ExecuteSession does after the statement text is resolved:

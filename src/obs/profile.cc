@@ -44,9 +44,8 @@ Json OperatorToJson(const OperatorProfile& op) {
     node.Set("parallel_workers", Json::MakeInt(op.parallel_workers));
     node.Set("cpu_nanos", Json::MakeInt(op.cpu_nanos));
   }
-  if (op.vector_batches > 0 || op.row_fallbacks > 0) {
+  if (op.vector_batches > 0) {
     node.Set("vector_batches", Json::MakeInt(op.vector_batches));
-    node.Set("row_fallbacks", Json::MakeInt(op.row_fallbacks));
   }
   if (!op.children.empty()) {
     Json children = Json::MakeArray();
@@ -81,8 +80,6 @@ void RenderOperator(const OperatorProfile& op, bool analyze, int depth,
     if (op.vector_batches > 0) {
       line += " batches=" + std::to_string(op.vector_batches) +
               " [vectorized]";
-    } else if (op.row_fallbacks > 0) {
-      line += " [row-fallback]";
     }
   }
   out->push_back(std::move(line));

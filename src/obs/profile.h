@@ -19,7 +19,7 @@ struct OperatorProfile {
   int64_t invocations = 0;
   int64_t wall_nanos = 0;
   // Join-only split of wall_nanos; both stay 0 for other operators and for
-  // nested-loop fallback probes that never build a hash table.
+  // nested-loop joins, which never build a hash table.
   int64_t build_nanos = 0;
   int64_t probe_nanos = 0;
   // Morsel-parallel operators only (all 0 on the serial path): morsels
@@ -28,12 +28,9 @@ struct OperatorProfile {
   int64_t parallel_morsels = 0;
   int64_t parallel_workers = 0;
   int64_t cpu_nanos = 0;
-  // Vectorized columnar execution (DESIGN.md §15): batches this operator
-  // processed through its kernels, and the times it produced rows without
-  // running any kernel (visible in EXPLAIN ANALYZE as [vectorized] vs
-  // [row-fallback]).
+  // Columnar execution (DESIGN.md §15): morsel batches this operator
+  // processed through its kernels (EXPLAIN ANALYZE's "batches=N").
   int64_t vector_batches = 0;
-  int64_t row_fallbacks = 0;
   std::vector<OperatorProfile> children;
 };
 

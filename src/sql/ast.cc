@@ -1,5 +1,7 @@
 #include "sql/ast.h"
 
+#include <algorithm>
+
 #include "util/strings.h"
 
 namespace ldv::sql {
@@ -288,6 +290,74 @@ bool ContainsAggregate(const Expr& expr) {
     if (ContainsAggregate(*child)) return true;
   }
   return false;
+}
+
+namespace {
+
+void AddTable(const std::string& table, std::vector<std::string>* out) {
+  if (std::find(out->begin(), out->end(), table) == out->end()) {
+    out->push_back(table);
+  }
+}
+
+void CollectSelectTables(const SelectStmt& select,
+                         std::vector<std::string>* out);
+
+void CollectExprTables(const Expr* expr, std::vector<std::string>* out) {
+  if (expr == nullptr) return;
+  for (const auto& child : expr->children) CollectExprTables(child.get(), out);
+  if (expr->subquery != nullptr) CollectSelectTables(*expr->subquery, out);
+}
+
+void CollectSelectTables(const SelectStmt& select,
+                         std::vector<std::string>* out) {
+  for (const TableRef& ref : select.from) {
+    AddTable(ref.table, out);
+    CollectExprTables(ref.join_condition.get(), out);
+  }
+  for (const SelectItem& item : select.items) {
+    CollectExprTables(item.expr.get(), out);
+  }
+  CollectExprTables(select.where.get(), out);
+  for (const auto& expr : select.group_by) CollectExprTables(expr.get(), out);
+  CollectExprTables(select.having.get(), out);
+  for (const OrderItem& item : select.order_by) {
+    CollectExprTables(item.expr.get(), out);
+  }
+}
+
+}  // namespace
+
+std::vector<std::string> ReferencedTables(const Statement& stmt) {
+  std::vector<std::string> tables;
+  switch (stmt.kind) {
+    case StatementKind::kSelect:
+      CollectSelectTables(*stmt.select, &tables);
+      break;
+    case StatementKind::kInsert:
+      AddTable(stmt.insert->table, &tables);
+      if (stmt.insert->select != nullptr) {
+        CollectSelectTables(*stmt.insert->select, &tables);
+      }
+      break;
+    case StatementKind::kUpdate:
+      AddTable(stmt.update->table, &tables);
+      for (const auto& [column, expr] : stmt.update->assignments) {
+        CollectExprTables(expr.get(), &tables);
+      }
+      CollectExprTables(stmt.update->where.get(), &tables);
+      break;
+    case StatementKind::kDelete:
+      AddTable(stmt.del->table, &tables);
+      CollectExprTables(stmt.del->where.get(), &tables);
+      break;
+    case StatementKind::kCopy:
+      AddTable(stmt.copy->table, &tables);
+      break;
+    default:
+      break;
+  }
+  return tables;
 }
 
 PrepareStmt::PrepareStmt() = default;

@@ -287,6 +287,13 @@ std::string SelectToString(const SelectStmt& select);
 /// plus the flags and num_params are copied).
 Statement CloneStatement(const Statement& stmt);
 
+/// Every table `stmt` reads or writes, each once, in first-appearance order:
+/// the INSERT/UPDATE/DELETE/COPY target first, then FROM and JOIN entries
+/// and the tables of subqueries in any clause (JOIN ... ON, select list,
+/// WHERE, GROUP BY, HAVING, ORDER BY, INSERT ... SELECT, UPDATE SET). Names
+/// are as written; resolving them is the caller's business.
+std::vector<std::string> ReferencedTables(const Statement& stmt);
+
 /// SQL rendering of a statement that re-parses to an equivalent statement.
 /// Supports SELECT/INSERT/UPDATE/DELETE (the WAL logs the rendered text of
 /// parameter-substituted DML). Doubles render with enough digits to

@@ -14,12 +14,27 @@ std::string TupleVid::ToString() const {
 Table::Table(int32_t id, std::string name, Schema schema)
     : id_(id), name_(std::move(name)), schema_(std::move(schema)) {}
 
-Result<RowId> Table::Insert(Tuple values, int64_t stmt_seq) {
+Status Table::CheckRow(const Tuple& values, const char* what) const {
   if (static_cast<int>(values.size()) != schema_.num_columns()) {
     return Status::InvalidArgument(
-        StrFormat("%s: INSERT arity %zu != schema arity %d", name_.c_str(),
+        StrFormat("%s: %s arity %zu != schema arity %d", name_.c_str(), what,
                   values.size(), schema_.num_columns()));
   }
+  for (size_t c = 0; c < values.size(); ++c) {
+    const Column& column = schema_.column(static_cast<int>(c));
+    if (!values[c].is_null() && values[c].type() != column.type) {
+      return Status::InvalidArgument(StrFormat(
+          "%s: %s of a %s value into %s column %s", name_.c_str(), what,
+          std::string(ValueTypeName(values[c].type())).c_str(),
+          std::string(ValueTypeName(column.type)).c_str(),
+          column.name.c_str()));
+    }
+  }
+  return Status::Ok();
+}
+
+Result<RowId> Table::Insert(Tuple values, int64_t stmt_seq) {
+  LDV_RETURN_IF_ERROR(CheckRow(values, "INSERT"));
   RowVersion row;
   row.rowid = next_rowid_++;
   row.version = stmt_seq;
@@ -44,9 +59,7 @@ Status Table::Update(RowId rowid, Tuple values, int64_t stmt_seq) {
   if (row == nullptr) {
     return Status::NotFound(name_ + ": no row " + std::to_string(rowid));
   }
-  if (static_cast<int>(values.size()) != schema_.num_columns()) {
-    return Status::InvalidArgument(name_ + ": UPDATE arity mismatch");
-  }
+  LDV_RETURN_IF_ERROR(CheckRow(values, "UPDATE"));
   ArchivePreImage(*row, stmt_seq);
   IndexRemove(*row);
   row->values = std::move(values);
@@ -138,9 +151,7 @@ const RowVersion* Table::FindVersion(RowId rowid, int64_t version) const {
 }
 
 Status Table::RestoreRow(RowVersion row) {
-  if (static_cast<int>(row.values.size()) != schema_.num_columns()) {
-    return Status::InvalidArgument(name_ + ": restore arity mismatch");
-  }
+  LDV_RETURN_IF_ERROR(CheckRow(row.values, "restore"));
   if (row.rowid <= 0) {
     return Status::InvalidArgument(name_ + ": restore needs a valid rowid");
   }

@@ -124,11 +124,13 @@ class Table {
   size_t GcArchive(int64_t oldest_epoch);
 
   /// Inserts a row; `stmt_seq` becomes the version stamp. The tuple arity
-  /// must match the schema.
+  /// must match the schema and every cell must be NULL or of its column's
+  /// type (the columnar scan extracts typed columns on that guarantee).
   Result<RowId> Insert(Tuple values, int64_t stmt_seq);
 
   /// Replaces the values of `rowid`, bumping its version to `stmt_seq`.
-  /// The previous version is archived when tracking is on.
+  /// The previous version is archived when tracking is on. The values must
+  /// pass the same checks as Insert's.
   Status Update(RowId rowid, Tuple values, int64_t stmt_seq);
 
   /// Deletes `rowid`; the final version is archived when tracking is on.
@@ -184,6 +186,9 @@ class Table {
   int num_indexes() const { return static_cast<int>(indexes_.size()); }
 
  private:
+  /// Arity and typing check shared by Insert, Update and RestoreRow;
+  /// `what` names the operation in the error.
+  Status CheckRow(const Tuple& values, const char* what) const;
   struct HashIndex {
     int column = -1;
     std::unordered_multimap<uint64_t, RowId> map;

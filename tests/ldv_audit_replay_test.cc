@@ -195,6 +195,39 @@ TEST_F(AuditReplayTest, ServerIncludedReplayIsFaithful) {
   EXPECT_NE(out->find("threshold=50"), std::string::npos);
 }
 
+TEST_F(AuditReplayTest, ServerIncludedReplaysTablesReadOnlyInSubqueries) {
+  // `tags` appears only inside an IN subquery; the package must still carry
+  // its schema and the tuples the subquery read.
+  auto tags = db_->CreateTable(
+      "tags", storage::Schema({{"id", ValueType::kInt64}}));
+  ASSERT_TRUE(tags.ok());
+  const int64_t seq = db_->NextStatementSeq();
+  for (int id : {2, 4, 7}) {
+    ASSERT_TRUE((*tags)->Insert({Value::Int(id)}, seq).ok());
+  }
+  auto app = [](uint64_t* fingerprint_out) -> AppFn {
+    return [fingerprint_out](AppEnv& env) -> Status {
+      LDV_ASSIGN_OR_RETURN(net::DbClient * db,
+                           env.OpenDbConnection(env.root_process()));
+      LDV_ASSIGN_OR_RETURN(
+          exec::ResultSet r,
+          db->Query("SELECT id, val FROM items WHERE id IN "
+                    "(SELECT id FROM tags)"));
+      EXPECT_EQ(r.rows.size(), 3u);
+      *fingerprint_out = r.Fingerprint();
+      return Status::Ok();
+    };
+  };
+  uint64_t original_fp = 0;
+  Auditor auditor(db_.get(), Options(PackageMode::kServerIncluded, "sub"));
+  ASSERT_TRUE(auditor.Run(app(&original_fp)).ok());
+
+  uint64_t replay_fp = 0;
+  auto report = ReplayPackage("sub", app(&replay_fp));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(replay_fp, original_fp);
+}
+
 TEST_F(AuditReplayTest, ServerExcludedReplayNeedsNoDatabase) {
   uint64_t original_fp = 0;
   Auditor auditor(db_.get(), Options(PackageMode::kServerExcluded, "exc"));

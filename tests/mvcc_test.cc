@@ -391,6 +391,64 @@ TEST(MvccEngineTest, ReadersObserveMonotonicCountsUnderAWriter) {
   EXPECT_EQ(SingleInt(Exec(&engine, 0, "SELECT count(*) FROM t")), kInserts);
 }
 
+TEST(MvccEngineTest, ProvenanceStampingExcludesSnapshotReaders) {
+  // A PROVENANCE SELECT stamps the used-by fields of every row it reads;
+  // snapshot readers project them as prov_usedby. The stamping statement
+  // holds the table exclusively, so a reader sees every row stamped by the
+  // same (last completed) provenance query — never a torn mix, and never a
+  // data race (this suite runs under ThreadSanitizer).
+  Database db;
+  EngineHandle engine(&db);
+  ASSERT_TRUE(Exec(&engine, 0, "CREATE TABLE t (id INT)").ok());
+  std::string insert = "INSERT INTO t VALUES (0)";
+  for (int i = 1; i < 3000; ++i) insert += ", (" + std::to_string(i) + ")";
+  ASSERT_TRUE(Exec(&engine, 0, insert).ok());
+
+  constexpr int kStamps = 40;
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::atomic<int> torn{0};
+  std::thread stamper([&] {
+    for (int q = 1; q <= kStamps; ++q) {
+      DbRequest request;
+      request.sql = "PROVENANCE SELECT id FROM t";
+      request.query_id = q;
+      request.process_id = 1;
+      if (!engine.ExecuteSession(request, 1).ok()) ++failures;
+    }
+    done.store(true);
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      while (!done.load()) {
+        Result<exec::ResultSet> result =
+            Exec(&engine, 10 + r, "SELECT id, prov_usedby FROM t");
+        if (!result.ok() || result->rows.size() != 3000) {
+          ++failures;
+          return;
+        }
+        const int64_t first = result->rows[0][1].AsInt();
+        for (const storage::Tuple& row : result->rows) {
+          if (row[1].AsInt() != first) {
+            ++torn;
+            break;
+          }
+        }
+      }
+    });
+  }
+  stamper.join();
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(torn.load(), 0);
+  Result<exec::ResultSet> final_stamps =
+      Exec(&engine, 0, "SELECT DISTINCT prov_usedby FROM t");
+  ASSERT_TRUE(final_stamps.ok());
+  ASSERT_EQ(final_stamps->rows.size(), 1u);
+  EXPECT_EQ(final_stamps->rows[0][0].AsInt(), kStamps);
+}
+
 TEST(MvccEngineTest, TransfersPreserveTheSumUnderSnapshotReads) {
   Database db;
   EngineHandle engine(&db);

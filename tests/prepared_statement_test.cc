@@ -16,6 +16,7 @@
 #include "net/db_server.h"
 #include "net/protocol.h"
 #include "obs/metrics.h"
+#include "obs/span.h"
 #include "storage/database.h"
 #include "util/fsutil.h"
 #include "util/strings.h"
@@ -401,10 +402,25 @@ TEST_F(PreparedSocketTest, ProtocolVerbsRoundTripOverTheSocket) {
   ASSERT_TRUE(PrepareStatement(client->get(), "sel",
                                "SELECT val FROM t WHERE id = ?")
                   .ok());
+  obs::TraceRecorder::Clear();
+  obs::TraceRecorder::Enable();
   auto result = ExecutePrepared(client->get(), "sel", {Value::Int(2)});
+  obs::TraceRecorder::Disable();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->rows.size(), 1u);
   EXPECT_EQ(result->rows[0][0].AsInt(), 20);
+  // The protocol verb carries no SQL text; the concurrent read's span is
+  // labelled with the statement's effective text instead.
+  int read_spans = 0;
+  for (const obs::SpanEvent& event : obs::TraceRecorder::Events()) {
+    if (event.name != "engine.read") continue;
+    ++read_spans;
+    auto sql = event.args.find("sql");
+    ASSERT_NE(sql, event.args.end());
+    EXPECT_EQ(sql->second, "EXECUTE sel");
+  }
+  EXPECT_EQ(read_spans, 1);
+  obs::TraceRecorder::Clear();
   ASSERT_TRUE(DeallocatePrepared(client->get(), "sel").ok());
   EXPECT_FALSE(ExecutePrepared(client->get(), "sel", {Value::Int(2)}).ok());
   server.Stop();

@@ -116,6 +116,31 @@ TEST(ParserTest, Subqueries) {
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
 }
 
+TEST(ParserTest, ReferencedTablesWalksEveryClause) {
+  auto tables = [](const char* sql) {
+    auto stmt = Parse(sql);
+    EXPECT_TRUE(stmt.ok()) << sql;
+    return stmt.ok() ? ReferencedTables(*stmt) : std::vector<std::string>{};
+  };
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(tables("SELECT a.x FROM a JOIN b ON a.id = b.id AND b.k IN "
+                   "(SELECT k FROM c) WHERE EXISTS (SELECT 1 FROM d) "
+                   "ORDER BY (SELECT max(y) FROM e)"),
+            (Names{"a", "b", "c", "d", "e"}));
+  EXPECT_EQ(tables("SELECT (SELECT count(*) FROM b), x FROM a, a AS a2 "
+                   "GROUP BY x HAVING x > (SELECT min(z) FROM c)"),
+            (Names{"a", "b", "c"}));
+  EXPECT_EQ(tables("INSERT INTO t SELECT x FROM a WHERE x IN "
+                   "(SELECT x FROM b)"),
+            (Names{"t", "a", "b"}));
+  EXPECT_EQ(tables("UPDATE t SET v = (SELECT max(v) FROM a) WHERE id IN "
+                   "(SELECT id FROM b)"),
+            (Names{"t", "a", "b"}));
+  EXPECT_EQ(tables("DELETE FROM t WHERE id IN (SELECT id FROM t)"),
+            (Names{"t"}));
+  EXPECT_TRUE(tables("CREATE TABLE t (x INT)").empty());
+}
+
 TEST(ParserTest, CreateIndex) {
   auto stmt = Parse("CREATE INDEX idx_orders ON orders (o_orderkey)");
   ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();

@@ -110,6 +110,22 @@ TEST_F(TableTest, InsertArityChecked) {
   EXPECT_FALSE(table_.Insert({Value::Int(1)}, 1).ok());
 }
 
+TEST_F(TableTest, CellsMustBeNullOrTheColumnType) {
+  // The columnar scan extracts typed columns on this guarantee.
+  EXPECT_TRUE(table_.Insert({Value::Null(), Value::Null()}, 1).ok());
+  EXPECT_FALSE(table_.Insert({Value::Real(1.0), Value::Str("a")}, 1).ok());
+  EXPECT_FALSE(table_.Insert({Value::Int(1), Value::Int(2)}, 1).ok());
+  auto rid = table_.Insert({Value::Int(1), Value::Str("a")}, 1);
+  ASSERT_TRUE(rid.ok());
+  EXPECT_FALSE(table_.Update(*rid, {Value::Str("1"), Value::Str("a")}, 2).ok());
+  RowVersion row;
+  row.rowid = 42;
+  row.version = 3;
+  row.values = {Value::Int(1), Value::Real(2.5)};
+  EXPECT_FALSE(table_.RestoreRow(row).ok());
+  EXPECT_EQ(table_.live_row_count(), 2);
+}
+
 TEST_F(TableTest, UpdateArchivesOldVersionWhenTracking) {
   table_.set_provenance_tracking(true);
   auto rid = table_.Insert({Value::Int(1), Value::Str("old")}, 5);

@@ -13,17 +13,17 @@
 # inter-query parallelism bound (>= 3x read-only QPS at 8 clients vs 1 with
 # enough cores, no-regression otherwise, DESIGN.md §12), the
 # repeated-statement bound (>= 2x QPS for EXECUTE through the plan cache vs
-# re-sent literal SQL, DESIGN.md §13) and the vectorized-execution bound
-# (>= 2x single-threaded scan-filter-agg rows/s for the columnar kernels vs
-# the row engine, DESIGN.md §15). The artifacts (benchmark results, metrics
-# snapshot, scaling curve, governance probe, concurrency curve,
-# prepared-statement comparison, vectorized comparison) are left in build/
-# and mirrored to BENCH_*.json in the repo root.
+# re-sent literal SQL, DESIGN.md §13), and prints the columnar kernels'
+# single-threaded rows/s (bench_vector, DESIGN.md §15; no bound). The
+# artifacts (benchmark results, metrics snapshot, scaling curve, governance
+# probe, concurrency curve, prepared-statement comparison, kernel rates)
+# are left in build/ and mirrored to BENCH_*.json in the repo root.
 #
 # --tsan additionally builds with ThreadSanitizer (LDV_SANITIZE=thread) and
 # runs the concurrency-sensitive suites (thread pool, parallel execution,
-# vectorized differential, exec, net, txn/governance, mvcc,
-# prepared-statement differential fuzzer) under it.
+# engine-vs-oracle differential, exec, net, txn/governance, mvcc including
+# the provenance-stamping race, prepared-statement differential fuzzer)
+# under it.
 #
 # --release additionally configures build-release/ as a Release (-O3)
 # build, which compiles with -Werror like every other build type, and runs

@@ -87,9 +87,6 @@ int Usage() {
       "               after its apply queue drains; idempotent)\n"
       "global: --threads N   query degree of parallelism (default: hardware\n"
       "                      concurrency; 1 disables parallel execution)\n"
-      "        --no-vectorize  row-at-a-time execution only (vectorized\n"
-      "                      columnar kernels are the default; results are\n"
-      "                      bit-identical either way)\n"
       "        --plan-cache-entries N   bound on the shared prepared-\n"
       "                      statement plan cache (default 256; 0 disables)\n");
   return 2;
@@ -107,10 +104,6 @@ Flags ParseFlags(int argc, char** argv, int start) {
     if (arg == "--") {
       for (int k = i + 1; k < argc; ++k) flags.rest.push_back(argv[k]);
       break;
-    }
-    if (arg == "--no-vectorize") {  // valueless: takes no operand
-      flags.named.emplace("no-vectorize", "1");
-      continue;
     }
     if (arg.rfind("--", 0) == 0 && i + 1 < argc) {
       flags.named[arg.substr(2)] = argv[++i];
@@ -491,11 +484,6 @@ int main(int argc, char** argv) {
     // bit-identical at any value (DESIGN.md §10).
     ldv::ThreadPool::SetDefaultDop(
         std::atoi(flags.named.at("threads").c_str()));
-  }
-  if (flags.named.count("no-vectorize")) {
-    // Row-at-a-time execution only; results are bit-identical to the
-    // vectorized default (DESIGN.md §15).
-    ldv::exec::SetDefaultVectorize(false);
   }
   if (flags.named.count("plan-cache-entries")) {
     // Bound on the shared prepared-statement plan cache; 0 disables

@@ -163,10 +163,6 @@ int main(int argc, char** argv) {
       metrics_out = next();
     } else if (arg == "--trace-out") {
       trace_out = next();
-    } else if (arg == "--no-vectorize") {
-      // Row-at-a-time execution only; results are bit-identical to the
-      // vectorized default (DESIGN.md §15).
-      ldv::exec::SetDefaultVectorize(false);
     } else if (arg == "--threads") {
       ldv::ThreadPool::SetDefaultDop(std::atoi(next()));
     } else if (arg == "--statement-timeout-ms") {
@@ -192,7 +188,6 @@ int main(int argc, char** argv) {
           "[--io-timeout-ms N] [--disconnect-poll-ms N] [--dedup-ttl-ms N] "
           "[--fault SPEC] [--fault-seed N] "
           "[--metrics-out FILE] [--trace-out FILE] [--threads N] "
-          "[--no-vectorize] "
           "[--statement-timeout-ms N] [--mem-limit-mb N] "
           "[--plan-cache-entries N] "
           "[--replicate-from SOCKET] [--standby-name NAME]\n");
