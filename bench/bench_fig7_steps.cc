@@ -72,7 +72,7 @@ int main() {
   std::printf(
       "\nexpected shape (paper Fig. 7): audit overhead server-included > "
       "server-excluded > PTU,\nlargest on First Select (cold provenance "
-      "cache) and Updates (reenactment queries);\nreplay Initialization "
+      "cache) and Updates (reenactment provenance);\nreplay Initialization "
       "dominated by server-included tuple restore; server-excluded\nselects "
       "replay fastest (recorded answers read from disk).\n");
   std::printf("workdir: %s\n", workdir.c_str());

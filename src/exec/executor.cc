@@ -30,6 +30,15 @@ uint64_t ResultSet::Fingerprint() const {
   return h;
 }
 
+void UsePool(const ExecOptions& options, ExecContext* ctx) {
+  const int dop =
+      options.threads > 0 ? options.threads : ThreadPool::default_dop();
+  if (dop > 1) {
+    ctx->pool = ThreadPool::Shared();
+    ctx->dop = dop;
+  }
+}
+
 std::vector<ProvTupleRecord> CollectProvTuples(const ExecContext& ctx,
                                                const storage::Database& db) {
   std::vector<ProvTupleRecord> out;
@@ -296,12 +305,7 @@ Result<ResultSet> Executor::ExecSelect(const sql::SelectStmt& select,
   ctx.process_id = options.process_id;
   ctx.governor = options.governor;
   ctx.snapshot_epoch = options.snapshot_epoch;
-  const int dop =
-      options.threads > 0 ? options.threads : ThreadPool::default_dop();
-  if (dop > 1) {
-    ctx.pool = ThreadPool::Shared();
-    ctx.dop = dop;
-  }
+  UsePool(options, &ctx);
   const int64_t exec_start = options.profile ? NowNanos() : 0;
   LDV_ASSIGN_OR_RETURN(ColumnBatch batch, plan.root->Execute(&ctx));
   ResultSet result;
@@ -353,12 +357,7 @@ Result<ResultSet> Executor::ExecutePlanned(SelectPlan& plan,
   ctx.process_id = options.process_id;
   ctx.governor = options.governor;
   ctx.snapshot_epoch = options.snapshot_epoch;
-  const int dop =
-      options.threads > 0 ? options.threads : ThreadPool::default_dop();
-  if (dop > 1) {
-    ctx.pool = ThreadPool::Shared();
-    ctx.dop = dop;
-  }
+  UsePool(options, &ctx);
   LDV_ASSIGN_OR_RETURN(ColumnBatch batch, plan.root->Execute(&ctx));
   ResultSet result;
   result.schema = plan.output_schema;  // copy: the plan stays shared

@@ -30,16 +30,6 @@ class SingleRowNode final : public PlanNode {
   }
 };
 
-void SplitConjuncts(const Expr* expr, std::vector<const Expr*>* out) {
-  if (expr == nullptr) return;
-  if (expr->kind == ExprKind::kBinary && expr->binary_op == BinaryOp::kAnd) {
-    SplitConjuncts(expr->children[0].get(), out);
-    SplitConjuncts(expr->children[1].get(), out);
-    return;
-  }
-  out->push_back(expr);
-}
-
 /// True if every column reference in `expr` resolves in `scope`.
 bool FullyResolvable(const Expr& expr, const Scope& scope) {
   std::vector<std::pair<std::string, std::string>> refs;
@@ -134,6 +124,41 @@ std::string OutputName(const sql::SelectItem& item) {
 
 }  // namespace
 
+void SplitConjuncts(const Expr* expr, std::vector<const Expr*>* out) {
+  if (expr == nullptr) return;
+  if (expr->kind == ExprKind::kBinary && expr->binary_op == BinaryOp::kAnd) {
+    SplitConjuncts(expr->children[0].get(), out);
+    SplitConjuncts(expr->children[1].get(), out);
+    return;
+  }
+  out->push_back(expr);
+}
+
+void ChooseIndexProbe(ScanNode* scan,
+                      const std::vector<const Expr*>& conjuncts) {
+  const storage::Table& table = *scan->table();
+  for (const Expr* e : conjuncts) {
+    if (e->kind != ExprKind::kBinary || e->binary_op != BinaryOp::kEq) {
+      continue;
+    }
+    for (int side = 0; side < 2; ++side) {
+      const Expr* col = e->children[static_cast<size_t>(side)].get();
+      const Expr* lit = e->children[static_cast<size_t>(1 - side)].get();
+      if (col->kind != ExprKind::kColumnRef ||
+          lit->kind != ExprKind::kLiteral) {
+        continue;
+      }
+      int idx = table.schema().IndexOf(col->column);
+      if (idx < 0 || !table.HasIndexOn(idx)) continue;
+      Result<storage::Value> coerced =
+          CoerceValue(lit->literal, table.schema().column(idx).type);
+      if (!coerced.ok()) continue;
+      scan->set_index_probe(idx, std::move(coerced).value());
+      return;
+    }
+  }
+}
+
 Result<SelectPlan> PlanSelect(storage::Database* db,
                               const SelectStmt& select) {
   // ---- Gather all column references (prov pseudo-column detection). ----
@@ -192,32 +217,6 @@ Result<SelectPlan> PlanSelect(storage::Database* db,
     return key_pairs;
   };
 
-  // Enables the hash-index access path when a pushed-down conjunct is an
-  // equality between an indexed column and a literal.
-  auto try_index_probe = [](ScanNode* scan, storage::Table* table,
-                            const std::vector<const Expr*>& pushdown) {
-    for (const Expr* e : pushdown) {
-      if (e->kind != ExprKind::kBinary || e->binary_op != BinaryOp::kEq) {
-        continue;
-      }
-      for (int side = 0; side < 2; ++side) {
-        const Expr* col = e->children[static_cast<size_t>(side)].get();
-        const Expr* lit = e->children[static_cast<size_t>(1 - side)].get();
-        if (col->kind != ExprKind::kColumnRef ||
-            lit->kind != ExprKind::kLiteral) {
-          continue;
-        }
-        int idx = table->schema().IndexOf(col->column);
-        if (idx < 0 || !table->HasIndexOn(idx)) continue;
-        Result<storage::Value> coerced =
-            CoerceValue(lit->literal, table->schema().column(idx).type);
-        if (!coerced.ok()) continue;
-        scan->set_index_probe(idx, std::move(coerced).value());
-        return;
-      }
-    }
-  };
-
   // ---- Scans with predicate pushdown, then left-deep joins. ----
   std::unique_ptr<PlanNode> current;
   // Non-null while the plan is a single scan whose output rows map 1:1 to
@@ -266,7 +265,7 @@ Result<SelectPlan> PlanSelect(storage::Database* db,
       LDV_ASSIGN_OR_RETURN(std::unique_ptr<BoundExpr> filter,
                            BindConjunction(pushdown, scan->scope()));
       scan->set_filter(std::move(filter));
-      try_index_probe(scan.get(), table, pushdown);
+      ChooseIndexProbe(scan.get(), pushdown);
     }
     if (current == nullptr) {
       if (ref.join_condition != nullptr) {

@@ -20,6 +20,18 @@ struct SelectPlan {
   storage::Schema output_schema;
 };
 
+/// Appends the conjuncts of the top-level AND structure of `expr` (none
+/// when null) to `out`, left to right.
+void SplitConjuncts(const sql::Expr* expr,
+                    std::vector<const sql::Expr*>* out);
+
+/// The one access-path chooser, for SELECT scans and UPDATE/DELETE alike:
+/// enables `scan`'s hash-index probe when one of `conjuncts` (predicates
+/// over the scanned table) is an equality between an indexed column and a
+/// literal. The first such conjunct wins.
+void ChooseIndexProbe(ScanNode* scan,
+                      const std::vector<const sql::Expr*>& conjuncts);
+
 /// Builds an executable plan for a SELECT statement:
 ///   - per-table predicate pushdown into scans,
 ///   - left-deep joins in FROM order, hash joins on extracted equi-join

@@ -1,6 +1,8 @@
 #include "exec/reenactment.h"
 
-#include "exec/expression.h"
+#include "exec/exec_internal.h"
+#include "exec/planner.h"
+#include "exec/vector_expr.h"
 
 namespace ldv::exec {
 
@@ -8,113 +10,174 @@ using storage::RowVersion;
 using storage::Table;
 using storage::Tuple;
 using storage::TupleVid;
-using storage::Value;
 
 namespace {
 
-/// Binds an expression against `table`'s scope (columns + prov pseudo
-/// columns, qualified by `alias`).
-Result<std::unique_ptr<BoundExpr>> BindAgainstTable(const sql::Expr& expr,
-                                                    const Table& table,
-                                                    const std::string& alias) {
-  Scope scope;
-  for (const storage::Column& c : table.schema().columns()) {
-    scope.Add({alias, c.name, c.type, /*hidden=*/false});
-  }
-  scope.Add({alias, std::string(storage::kProvRowIdColumn),
-             storage::ValueType::kInt64, /*hidden=*/true});
-  scope.Add({alias, std::string(storage::kProvVersionColumn),
-             storage::ValueType::kInt64, /*hidden=*/true});
-  scope.Add({alias, std::string(storage::kProvUsedByColumn),
-             storage::ValueType::kInt64, /*hidden=*/true});
-  scope.Add({alias, std::string(storage::kProvProcessColumn),
-             storage::ValueType::kInt64, /*hidden=*/true});
-  return BindExpr(expr, scope);
-}
+/// One SET clause, bound against the DML scan's scope.
+struct Assignment {
+  int column;
+  std::unique_ptr<BoundExpr> expr;
+};
 
-Tuple RowWithProvColumns(const RowVersion& row) {
-  Tuple values = row.values;
-  values.push_back(Value::Int(row.rowid));
-  values.push_back(Value::Int(row.version));
-  values.push_back(Value::Int(row.used_by_query));
-  values.push_back(Value::Int(row.used_by_process));
-  return values;
-}
+/// Phase 1 of reenactment: the rows the statement qualifies, in rowid
+/// order, snapshotted from the pre-state before any mutation — each row's
+/// prior version and values, and for an UPDATE its new tuple. Every tuple
+/// is owned and coerced: the scan's string cells are views into the row
+/// versions Table::Update replaces, and a statement that fails here leaves
+/// the table untouched.
+struct PreState {
+  std::vector<TupleVid> prior;
+  std::vector<Tuple> old_values;
+  std::vector<Tuple> new_values;  // UPDATE only
+};
 
-/// Finds an equality between an indexed column of `table` and a literal in
-/// the top-level AND structure of `where`; returns (column, probe value) or
-/// column -1.
-std::pair<int, Value> FindIndexProbe(const Table& table,
-                                     const sql::Expr* where) {
-  if (where == nullptr) return {-1, Value::Null()};
-  if (where->kind == sql::ExprKind::kBinary &&
-      where->binary_op == sql::BinaryOp::kAnd) {
-    auto left = FindIndexProbe(table, where->children[0].get());
-    if (left.first >= 0) return left;
-    return FindIndexProbe(table, where->children[1].get());
+/// Snapshots rows [begin, end) of the scan batch into `pre`. Errors surface
+/// as a row-at-a-time evaluation reports them: the first failing row, SET
+/// by SET, whatever the morsel size.
+Status SnapshotRows(const Table& table, const std::vector<Assignment>& sets,
+                    const ColumnBatch& batch, size_t begin, size_t end,
+                    PreState* pre) {
+  std::vector<ColumnVector> results(sets.size());
+  std::vector<Status> evaluated(sets.size());
+  bool failed = false;
+  for (size_t s = 0; s < sets.size(); ++s) {
+    evaluated[s] = EvalVector(*sets[s].expr, batch, begin, end,
+                              /*params=*/nullptr, &results[s]);
+    failed = failed || !evaluated[s].ok();
   }
-  if (where->kind != sql::ExprKind::kBinary ||
-      where->binary_op != sql::BinaryOp::kEq) {
-    return {-1, Value::Null()};
-  }
-  for (int side = 0; side < 2; ++side) {
-    const sql::Expr* col = where->children[static_cast<size_t>(side)].get();
-    const sql::Expr* lit =
-        where->children[static_cast<size_t>(1 - side)].get();
-    if (col->kind != sql::ExprKind::kColumnRef ||
-        lit->kind != sql::ExprKind::kLiteral) {
-      continue;
+  if (failed && end - begin > 1) {
+    // An earlier row may fail first, in another SET or a coercion.
+    for (size_t i = begin; i < end; ++i) {
+      LDV_RETURN_IF_ERROR(SnapshotRows(table, sets, batch, i, i + 1, pre));
     }
-    int idx = table.schema().IndexOf(col->column);
-    if (idx < 0 || !table.HasIndexOn(idx)) continue;
-    Result<Value> coerced =
-        exec::CoerceValue(lit->literal, table.schema().column(idx).type);
-    if (!coerced.ok()) continue;
-    return {idx, std::move(coerced).value()};
   }
-  return {-1, Value::Null()};
+  const size_t base_cols = table.schema().columns().size();
+  for (size_t i = begin; i < end; ++i) {
+    // The hidden prov_rowid / prov_v columns follow the table's own.
+    pre->prior[i] = TupleVid{table.id(), batch.cols[base_cols].i64[i],
+                             batch.cols[base_cols + 1].i64[i]};
+    Tuple values(base_cols);
+    for (size_t c = 0; c < base_cols; ++c) {
+      values[c] = batch.cols[c].GetValue(i);
+    }
+    if (!pre->new_values.empty()) {
+      Tuple updated = values;
+      for (size_t s = 0; s < sets.size(); ++s) {
+        LDV_RETURN_IF_ERROR(evaluated[s]);
+        const int column = sets[s].column;
+        LDV_ASSIGN_OR_RETURN(
+            updated[static_cast<size_t>(column)],
+            CoerceValue(results[s].GetValue(i - begin),
+                        table.schema().column(column).type));
+      }
+      pre->new_values[i] = std::move(updated);
+    }
+    pre->old_values[i] = std::move(values);
+  }
+  return Status::Ok();
 }
 
-/// Phase 1 of reenactment: evaluate the WHERE predicate against the
-/// pre-state and snapshot the matched versions. `probe` narrows the visited
-/// rows through the hash index when available.
-Result<std::vector<RowVersion>> MatchPreState(
-    Table* table, const BoundExpr* where,
-    const std::pair<int, Value>& probe) {
-  std::vector<RowVersion> matched;
-  auto consider = [&](const RowVersion& row) -> Status {
-    if (where != nullptr) {
-      Tuple values = RowWithProvColumns(row);
-      LDV_ASSIGN_OR_RETURN(Value keep, EvalExpr(*where, values));
-      if (!keep.IsTruthy()) return Status::Ok();
-    }
-    matched.push_back(row);
-    return Status::Ok();
-  };
-  if (probe.first >= 0) {
-    for (storage::RowId rowid : table->IndexLookup(probe.first, probe.second)) {
-      const RowVersion* row = table->Find(rowid);
-      if (row != nullptr) LDV_RETURN_IF_ERROR(consider(*row));
-    }
-    return matched;
-  }
-  for (const RowVersion& row : table->rows()) {
-    if (row.deleted) continue;
-    LDV_RETURN_IF_ERROR(consider(row));
-  }
-  return matched;
-}
+/// Runs `scan` — the SELECT scan kernel: fused filter, index-probe arm,
+/// morsel parallelism — over the live rows, stamping none of them, and
+/// snapshots the pre-state of the rows it selects, evaluating `sets` over
+/// the same batch. The snapshot is charged against the statement's memory
+/// budget.
+Result<PreState> SelectPreState(storage::Database* db, ScanNode* scan,
+                                const std::vector<Assignment>& sets,
+                                bool update, const ExecOptions& options) {
+  ExecContext ctx;
+  ctx.db = db;
+  ctx.governor = options.governor;
+  // Only an explicit degree of parallelism fans DML out; the process
+  // default scans on the calling thread. Measured on the point updates of
+  // the audit workloads, the fan-out gained no write latency and left the
+  // process measurably slower at allocation-heavy work that followed.
+  if (options.threads > 1) UsePool(options, &ctx);
+  LDV_ASSIGN_OR_RETURN(ColumnBatch batch, scan->Execute(&ctx));
 
-/// Charges the reenactment pre-state snapshot (the version-archive capture
-/// of every matched row) against the statement's memory budget.
-Status ChargePreState(const ExecOptions& options,
-                      const std::vector<RowVersion>& matched) {
-  if (options.governor == nullptr) return Status::Ok();
+  const size_t n = batch.num_rows;
+  PreState pre;
+  pre.prior.resize(n);
+  pre.old_values.resize(n);
+  if (update) pre.new_values.resize(n);
+  LDV_RETURN_IF_ERROR(internal::RunMorsels(
+      &ctx, nullptr, n, [&](size_t begin, size_t end, size_t) {
+        return SnapshotRows(*scan->table(), sets, batch, begin, end, &pre);
+      }));
   size_t bytes = 0;
-  for (const RowVersion& row : matched) {
-    bytes += sizeof(RowVersion) + ApproxTupleBytes(row.values);
+  for (const Tuple& values : pre.old_values) {
+    bytes += sizeof(RowVersion) + ApproxTupleBytes(values);
   }
-  return options.governor->ChargeMemory(bytes);
+  LDV_RETURN_IF_ERROR(ctx.ChargeMemory(bytes));
+  return pre;
+}
+
+/// UPDATE (`assignments` set) or DELETE: phase 1 selects and snapshots,
+/// phase 2 mutates serially in rowid order, so version stamps, DmlRecords,
+/// prov_tuples and WAL redo are deterministic at any degree of parallelism.
+Result<ResultSet> ExecDml(
+    storage::Database* db, const std::string& table_name,
+    const std::string& alias, const sql::Expr* where,
+    const std::vector<std::pair<std::string, std::unique_ptr<sql::Expr>>>*
+        assignments,
+    bool provenance, const ExecOptions& options) {
+  Table* table = db->FindTable(table_name);
+  if (table == nullptr) {
+    return Status::NotFound("no such table: " + table_name);
+  }
+  ScanNode scan(table, alias.empty() ? table_name : alias,
+                /*expose_prov_columns=*/true);
+  if (where != nullptr) {
+    LDV_ASSIGN_OR_RETURN(std::unique_ptr<BoundExpr> filter,
+                         BindExpr(*where, scan.scope()));
+    scan.set_filter(std::move(filter));
+    std::vector<const sql::Expr*> conjuncts;
+    SplitConjuncts(where, &conjuncts);
+    ChooseIndexProbe(&scan, conjuncts);
+  }
+  std::vector<Assignment> sets;
+  if (assignments != nullptr) {
+    for (const auto& [col_name, expr] : *assignments) {
+      const int column = table->schema().IndexOf(col_name);
+      if (column < 0) {
+        return Status::NotFound(table_name + ": no column " + col_name);
+      }
+      LDV_ASSIGN_OR_RETURN(std::unique_ptr<BoundExpr> bound,
+                           BindExpr(*expr, scan.scope()));
+      sets.push_back({column, std::move(bound)});
+    }
+  }
+  LDV_ASSIGN_OR_RETURN(
+      PreState pre,
+      SelectPreState(db, &scan, sets, assignments != nullptr, options));
+
+  ResultSet result;
+  const int64_t stmt_seq = db->NextStatementSeq();
+  for (size_t i = 0; i < pre.prior.size(); ++i) {
+    const TupleVid& prior = pre.prior[i];
+    DmlRecord rec;
+    rec.table = table->name();
+    rec.prior = prior;
+    rec.has_prior = true;
+    if (assignments != nullptr) {
+      LDV_RETURN_IF_ERROR(table->Update(
+          prior.rowid, std::move(pre.new_values[i]), stmt_seq));
+      rec.kind = DmlRecord::Kind::kUpdated;
+      rec.vid = TupleVid{table->id(), prior.rowid, stmt_seq};
+    } else {
+      LDV_RETURN_IF_ERROR(table->Delete(prior.rowid, stmt_seq));
+      rec.kind = DmlRecord::Kind::kDeleted;
+      rec.vid = prior;
+    }
+    result.dml.push_back(std::move(rec));
+    if (provenance) {
+      result.prov_tuples.push_back(
+          {prior, table->name(), std::move(pre.old_values[i])});
+    }
+  }
+  result.affected = static_cast<int64_t>(pre.prior.size());
+  result.has_provenance = provenance;
+  return result;
 }
 
 }  // namespace
@@ -123,109 +186,15 @@ Result<ResultSet> ExecUpdate(storage::Database* db,
                              const sql::UpdateStmt& update,
                              const sql::Expr* where_expr, bool provenance,
                              const ExecOptions& options) {
-  Table* table = db->FindTable(update.table);
-  if (table == nullptr) {
-    return Status::NotFound("no such table: " + update.table);
-  }
-  const std::string& alias =
-      update.alias.empty() ? update.table : update.alias;
-
-  std::unique_ptr<BoundExpr> where;
-  if (where_expr != nullptr) {
-    LDV_ASSIGN_OR_RETURN(where, BindAgainstTable(*where_expr, *table, alias));
-  }
-  // Bind SET expressions (they may reference old column values).
-  std::vector<std::pair<int, std::unique_ptr<BoundExpr>>> sets;
-  for (const auto& [col_name, expr] : update.assignments) {
-    int idx = table->schema().IndexOf(col_name);
-    if (idx < 0) {
-      return Status::NotFound(update.table + ": no column " + col_name);
-    }
-    LDV_ASSIGN_OR_RETURN(std::unique_ptr<BoundExpr> bound,
-                         BindAgainstTable(*expr, *table, alias));
-    sets.emplace_back(idx, std::move(bound));
-  }
-
-  // Reenactment: retrieve the statement's provenance (the matched pre-state
-  // versions) BEFORE mutating, per §VII-B.
-  LDV_ASSIGN_OR_RETURN(
-      std::vector<RowVersion> matched,
-      MatchPreState(table, where.get(), FindIndexProbe(*table, where_expr)));
-  LDV_RETURN_IF_ERROR(ChargePreState(options, matched));
-
-  ResultSet result;
-  const int64_t stmt_seq = db->NextStatementSeq();
-  for (const RowVersion& old_row : matched) {
-    Tuple old_with_prov = RowWithProvColumns(old_row);
-    Tuple new_values = old_row.values;
-    for (const auto& [idx, expr] : sets) {
-      LDV_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, old_with_prov));
-      LDV_ASSIGN_OR_RETURN(
-          new_values[static_cast<size_t>(idx)],
-          CoerceValue(std::move(v),
-                      table->schema().column(idx).type));
-    }
-    LDV_RETURN_IF_ERROR(
-        table->Update(old_row.rowid, std::move(new_values), stmt_seq));
-    DmlRecord rec;
-    rec.kind = DmlRecord::Kind::kUpdated;
-    rec.table = table->name();
-    rec.vid = TupleVid{table->id(), old_row.rowid, stmt_seq};
-    rec.prior = TupleVid{table->id(), old_row.rowid, old_row.version};
-    rec.has_prior = true;
-    result.dml.push_back(rec);
-    if (provenance) {
-      ProvTupleRecord prov;
-      prov.vid = rec.prior;
-      prov.table = table->name();
-      prov.values = old_row.values;
-      result.prov_tuples.push_back(std::move(prov));
-    }
-  }
-  result.affected = static_cast<int64_t>(matched.size());
-  result.has_provenance = provenance;
-  return result;
+  return ExecDml(db, update.table, update.alias, where_expr,
+                 &update.assignments, provenance, options);
 }
 
 Result<ResultSet> ExecDelete(storage::Database* db, const sql::DeleteStmt& del,
                              const sql::Expr* where_expr, bool provenance,
                              const ExecOptions& options) {
-  Table* table = db->FindTable(del.table);
-  if (table == nullptr) {
-    return Status::NotFound("no such table: " + del.table);
-  }
-  const std::string& alias = del.alias.empty() ? del.table : del.alias;
-  std::unique_ptr<BoundExpr> where;
-  if (where_expr != nullptr) {
-    LDV_ASSIGN_OR_RETURN(where, BindAgainstTable(*where_expr, *table, alias));
-  }
-  LDV_ASSIGN_OR_RETURN(
-      std::vector<RowVersion> matched,
-      MatchPreState(table, where.get(), FindIndexProbe(*table, where_expr)));
-  LDV_RETURN_IF_ERROR(ChargePreState(options, matched));
-
-  ResultSet result;
-  const int64_t stmt_seq = db->NextStatementSeq();
-  for (const RowVersion& old_row : matched) {
-    LDV_RETURN_IF_ERROR(table->Delete(old_row.rowid, stmt_seq));
-    DmlRecord rec;
-    rec.kind = DmlRecord::Kind::kDeleted;
-    rec.table = table->name();
-    rec.vid = TupleVid{table->id(), old_row.rowid, old_row.version};
-    rec.prior = rec.vid;
-    rec.has_prior = true;
-    result.dml.push_back(rec);
-    if (provenance) {
-      ProvTupleRecord prov;
-      prov.vid = rec.prior;
-      prov.table = table->name();
-      prov.values = old_row.values;
-      result.prov_tuples.push_back(std::move(prov));
-    }
-  }
-  result.affected = static_cast<int64_t>(matched.size());
-  result.has_provenance = provenance;
-  return result;
+  return ExecDml(db, del.table, del.alias, where_expr,
+                 /*assignments=*/nullptr, provenance, options);
 }
 
 }  // namespace ldv::exec

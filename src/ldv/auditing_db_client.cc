@@ -34,8 +34,8 @@ Result<exec::ResultSet> AuditingDbClient::Execute(
   record.sql = request.sql;
   record.kind = parsed.kind;
 
-  // One span per audited statement, covering the reenactment round trip,
-  // the statement itself, and trace/package bookkeeping.
+  // One span per audited statement, covering the statement itself and
+  // trace/package bookkeeping.
   obs::Span span("audit.statement", "audit");
   if (span.recording()) {
     span.AddArg("qid", std::to_string(record.query_id));
@@ -44,16 +44,12 @@ Result<exec::ResultSet> AuditingDbClient::Execute(
                            : request.sql.substr(0, 117) + "...");
   }
 
-  const bool is_modification = parsed.kind == sql::StatementKind::kUpdate ||
-                               parsed.kind == sql::StatementKind::kDelete;
-
   net::DbRequest tagged;
-  // The PROVENANCE rewrite the prototype performs inside libpq. For
-  // modifications the prototype instead issues a *separate* reenactment
-  // query against the pre-state before executing the statement (§VII-B:
-  // "we retrieve the provenance for the update before executing it") —
-  // this extra round trip is the Update-step audit overhead of Fig. 7a.
-  tagged.sql = provenance_capture && !is_modification && !parsed.provenance
+  // The PROVENANCE rewrite the prototype performs inside libpq. A tagged
+  // UPDATE/DELETE returns its reenactment provenance — the pre-state
+  // versions it replaced — from the same request that modifies them
+  // (§VII-B), so no other session's write can land in between.
+  tagged.sql = provenance_capture && !parsed.provenance
                    ? "PROVENANCE " + request.sql
                    : request.sql;
   tagged.process_id = process_id_;
@@ -61,37 +57,12 @@ Result<exec::ResultSet> AuditingDbClient::Execute(
 
   record.t.begin = auditor_->clock_.Tick();
   const int64_t backend_start = NowNanos();
-  exec::ResultSet reenactment;
-  if (provenance_capture && is_modification) {
-    const std::string& table = parsed.kind == sql::StatementKind::kUpdate
-                                   ? parsed.update->table
-                                   : parsed.del->table;
-    const std::string& alias = parsed.kind == sql::StatementKind::kUpdate
-                                   ? parsed.update->alias
-                                   : parsed.del->alias;
-    const sql::Expr* where = parsed.kind == sql::StatementKind::kUpdate
-                                 ? parsed.update->where.get()
-                                 : parsed.del->where.get();
-    net::DbRequest reenact;
-    reenact.sql = "PROVENANCE SELECT * FROM " + table;
-    if (!alias.empty()) reenact.sql += " " + alias;
-    if (where != nullptr) reenact.sql += " WHERE " + where->ToString();
-    reenact.process_id = process_id_;
-    reenact.query_id = record.query_id;
-    LDV_ASSIGN_OR_RETURN(reenactment, backend_->Execute(reenact));
-  }
   LDV_ASSIGN_OR_RETURN(exec::ResultSet result, backend_->Execute(tagged));
   record.t.end = auditor_->clock_.Tick();
   const int64_t bookkeeping_start = NowNanos();
   auditor_->backend_micros_->Observe((bookkeeping_start - backend_start) /
                                      1000);
 
-  if (provenance_capture && is_modification) {
-    // The reenactment query's provenance (the matched pre-state versions)
-    // is the modification's provenance.
-    result.prov_tuples = std::move(reenactment.prov_tuples);
-    result.has_provenance = true;
-  }
   record.result = &result;
   if (mode == PackageMode::kServerExcluded) {
     // Spool the exact request/response pair for replay (§VII-D). What we

@@ -162,8 +162,8 @@ class Auditor final : public os::OsEventSink, public AppEnv {
   // registry lookup takes a lock).
   obs::Counter* statements_metric_ = nullptr;
   obs::Counter* tuples_metric_ = nullptr;
-  // Per-statement split: the backend round trips (reenactment query plus
-  // the statement) vs trace building and tuple persistence.
+  // Per-statement split: the backend round trip vs trace building and
+  // tuple persistence.
   obs::Histogram* backend_micros_ = nullptr;
   obs::Histogram* bookkeeping_micros_ = nullptr;
   /// First error raised inside a void callback (OS event sink); surfaced

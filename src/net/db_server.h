@@ -110,10 +110,9 @@ class DbServer {
     int fd = -1;
   };
 
-  /// (process_id, query_id, sql): the ids alone are not unique — the
-  /// auditing client tags a DML statement and its reenactment query with
-  /// the same query id — so the statement text disambiguates. A retry
-  /// resends identical text and still hits the cache.
+  /// (process_id, query_id, sql): the statement text keeps two different
+  /// statements a client tagged with the same ids apart. A retry resends
+  /// identical text and still hits the cache.
   using DedupKey = std::tuple<int64_t, int64_t, std::string>;
   /// Dedup cache entry; `done` flips once the response is recorded, so a
   /// concurrent duplicate waits instead of double-executing. Completed

@@ -174,8 +174,8 @@ std::string Expr::ToString() const {
   switch (kind) {
     case ExprKind::kLiteral:
       if (literal.type() == storage::ValueType::kString) {
-        // Rendered expressions must re-parse (the auditing client builds
-        // reenactment queries from them), so quotes are '' -escaped.
+        // Rendered expressions must re-parse (the WAL logs an EXECUTE'd
+        // statement as its rendered text), so quotes are '' -escaped.
         std::string escaped;
         for (char c : literal.ToText()) {
           escaped.push_back(c);

@@ -157,6 +157,24 @@ TEST_F(ExecDmlTest, DmlErrors) {
   EXPECT_FALSE(exec_->Execute("COPY t FROM '/does/not/exist.csv'", {}).ok());
 }
 
+TEST_F(ExecDmlTest, FailedUpdateAppliesNothing) {
+  // No WAL, so no undo scope: the executor itself must not mutate before
+  // every new tuple is known to be storable.
+  Run("UPDATE t SET qty = 40 WHERE id = 1");
+  const int64_t seq = db_.current_statement_seq();
+  auto failed = exec_->Execute("UPDATE t SET qty = qty / 20", {});
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().ToString(),
+            "InvalidArgument: cannot store non-integral 1.5 in an INT column");
+  ResultSet after = Run("SELECT id, qty, prov_v FROM t ORDER BY id");
+  ASSERT_EQ(after.rows.size(), 3u);
+  EXPECT_EQ(after.rows[0][1].AsInt(), 40);
+  EXPECT_EQ(after.rows[1][1].AsInt(), 20);
+  EXPECT_EQ(after.rows[2][1].AsInt(), 30);
+  for (const auto& row : after.rows) EXPECT_LE(row[2].AsInt(), seq);
+  EXPECT_EQ(db_.FindTable("t")->archive().size(), 1u);
+}
+
 TEST_F(ExecDmlTest, CreateTableIfNotExists) {
   Run("CREATE TABLE IF NOT EXISTS t (id INT)");  // exists, no error
   EXPECT_FALSE(exec_->Execute("CREATE TABLE t (id INT)", {}).ok());

@@ -3,6 +3,7 @@
 #include <map>
 #include <set>
 
+#include "ldv/auditing_db_client.h"
 #include "ldv/auditor.h"
 #include "ldv/replayer.h"
 #include "net/db_server.h"
@@ -370,6 +371,59 @@ TEST_F(AuditReplayTest, SocketBackedAuditMatchesInProcessAudit) {
   auto replay = ReplayPackage("sock", TestApp(&replay_fp));
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
   EXPECT_EQ(replay_fp, socket_fp);
+}
+
+/// Hands requests to `backend`; once the first one returns, another session
+/// updates the row with id 3 — a concurrent writer on a shared server.
+class InterferingDbClient final : public net::DbClient {
+ public:
+  InterferingDbClient(net::DbClient* backend, net::DbClient* writer)
+      : backend_(backend), writer_(writer) {}
+
+  Result<exec::ResultSet> Execute(const net::DbRequest& request) override {
+    Result<exec::ResultSet> result = backend_->Execute(request);
+    if (!interfered_) {
+      interfered_ = true;
+      EXPECT_TRUE(
+          writer_->Query("UPDATE items SET val = val + 100 WHERE id = 3").ok());
+    }
+    return result;
+  }
+
+ private:
+  net::DbClient* backend_;
+  net::DbClient* writer_;
+  bool interfered_ = false;
+};
+
+TEST_F(AuditReplayTest, AuditedUpdateCapturesThePreStateItReplaced) {
+  // Another session updates the same row right after the audited
+  // statement's first request returns. The persisted pre-state must still
+  // be the version the audited UPDATE replaced: its DmlRecord's prior.
+  net::EngineHandle engine(db_.get());
+  net::LocalDbClient session(&engine);
+  net::LocalDbClient writer(&engine);
+  InterferingDbClient backend(&session, &writer);
+  Auditor auditor(db_.get(), Options(PackageMode::kServerIncluded, "race"));
+  storage::TupleVid prior;
+  auto report = auditor.Run([&](AppEnv& env) -> Status {
+    AuditingDbClient client(&backend, &auditor, env.root_process().pid());
+    LDV_ASSIGN_OR_RETURN(
+        exec::ResultSet r,
+        client.Query("UPDATE items SET val = val + 1 WHERE id = 3"));
+    if (r.dml.size() != 1) return Status::Internal("expected one DmlRecord");
+    prior = r.dml[0].prior;
+    return Status::Ok();
+  });
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  auto csv = ReadFileToString(base_ + "/packages/race/db/data/items.csv");
+  ASSERT_TRUE(csv.ok());
+  auto rows = ParseCsv(*csv);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_EQ(*ParseInt64((*rows)[0][0]), prior.rowid);
+  EXPECT_EQ(*ParseInt64((*rows)[0][1]), prior.version);
 }
 
 // ---------------------------------------------------------------------------

@@ -28,6 +28,17 @@ struct OracleResult {
 Result<OracleResult> OracleExecute(storage::Database* db,
                                    std::string_view sql);
 
+/// The serial reference for UPDATE and DELETE (optionally PROVENANCE):
+/// uncorrelated subqueries in WHERE run on the SELECT oracle first; then
+/// every live row, one at a time in slot order, is narrowed linearly by the
+/// reference index-probe choice and tested with EvalExpr over its values
+/// plus the four prov_* columns; SET expressions are evaluated the same
+/// way and coerced into every new tuple before the first mutation. Returns
+/// what the engine returns: `affected`, DmlRecords and the pre-state
+/// prov_tuples in row order, then the subqueries' provenance.
+Result<ResultSet> OracleExecuteDml(storage::Database* db, std::string_view sql,
+                                   const ExecOptions& options);
+
 }  // namespace ldv::exec
 
 #endif  // LDV_TESTS_ROW_ORACLE_H_

@@ -21,9 +21,9 @@
 #
 # --tsan additionally builds with ThreadSanitizer (LDV_SANITIZE=thread) and
 # runs the concurrency-sensitive suites (thread pool, parallel execution,
-# engine-vs-oracle differential, exec, net, txn/governance, mvcc including
-# the provenance-stamping race, prepared-statement differential fuzzer)
-# under it.
+# engine-vs-oracle differentials for SELECT and for UPDATE/DELETE, exec
+# including DML, net, txn/governance, mvcc including the provenance-stamping
+# race, prepared-statement differential fuzzer) under it.
 #
 # --release additionally configures build-release/ as a Release (-O3)
 # build, which compiles with -Werror like every other build type, and runs
@@ -133,12 +133,13 @@ if [[ "$TSAN" == 1 ]]; then
   cmake -B build-tsan -S . -DLDV_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j --target \
     thread_pool_test parallel_exec_test vectorized_exec_test exec_select_test \
-    exec_features_test net_test txn_test governance_test mvcc_test \
-    prepared_statement_test prepared_fuzz_test repl_test
+    exec_dml_test dml_oracle_test exec_features_test net_test txn_test \
+    governance_test mvcc_test prepared_statement_test prepared_fuzz_test \
+    repl_test
   # -R must precede the bare -j: ctest would otherwise swallow it as the
   # job count and silently run the whole (mostly unbuilt) suite.
   (cd build-tsan && ctest --output-on-failure --timeout 240 \
-    -R 'ThreadPool|Parallel|Vectorized|ExecSelect|ExecFeatures|Net|Txn|Governance|Mvcc|SharedMutex|SnapshotManager|Prepared|Normalize|Repl' -j)
+    -R 'ThreadPool|Parallel|Vectorized|ExecSelect|ExecDml|DmlOracle|ExecFeatures|Net|Txn|Governance|Mvcc|SharedMutex|SnapshotManager|Prepared|Normalize|Repl' -j)
 fi
 
 if [[ "$RELEASE" == 1 ]]; then

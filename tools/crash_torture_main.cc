@@ -691,10 +691,30 @@ int RunReplTorture(const TortureConfig& config) {
       if (!copied.ok()) return Fail("base backup (wal)", copied);
     }
 
+    // Fork first. Invariant: no other parent thread runs at fork time (the
+    // shared pool's workers, if any, are parked on their condition
+    // variable). A thread caught holding a lock — under ASan, an allocator
+    // region mutex — leaves it locked forever in the child, whose first
+    // allocating thread then hangs. So the standby's streaming thread
+    // starts, and the parent-side sever spec is armed, only after the fork;
+    // the child waits for the standby to subscribe before it commits.
+    pid_t pid = fork();
+    if (pid < 0) return Fail("fork", Status::IOError(strerror(errno)));
+    if (pid == 0) {
+      _exit(RunReplPrimaryChild(config, primary_data, primary_wal, intent_dir,
+                                socket_path, catchup_iter ? stats_path : "",
+                                iter_seed, fault_spec, ring_capacity));
+    }
+
+    auto fail_reaping_child = [pid](const char* what, const Status& status) {
+      (void)kill(pid, SIGKILL);
+      (void)waitpid(pid, nullptr, 0);
+      return Fail(what, status);
+    };
     StandbyNode standby;
     Status standby_up =
         OpenStandby(standby_data, standby_wal, socket_path, &standby);
-    if (!standby_up.ok()) return Fail("standby open", standby_up);
+    if (!standby_up.ok()) return fail_reaping_child("standby open", standby_up);
 
     ldv::FaultInjector& injector = ldv::FaultInjector::Instance();
     if (sever) {
@@ -702,16 +722,8 @@ int RunReplTorture(const TortureConfig& config) {
       // reconnect, resubscribe, and close the gap without losing an ack.
       injector.Reset();
       Status armed = injector.ConfigureFromSpec("repl.stream=p:0.2");
-      if (!armed.ok()) return Fail("sever spec", armed);
+      if (!armed.ok()) return fail_reaping_child("sever spec", armed);
       injector.Enable(iter_seed ^ 0x5DEECE66DULL);
-    }
-
-    pid_t pid = fork();
-    if (pid < 0) return Fail("fork", Status::IOError(strerror(errno)));
-    if (pid == 0) {
-      _exit(RunReplPrimaryChild(config, primary_data, primary_wal, intent_dir,
-                                socket_path, catchup_iter ? stats_path : "",
-                                iter_seed, fault_spec, ring_capacity));
     }
     // Bounded wait: a deadlocked stream must fail the run, not hang it.
     int wstatus = 0;
