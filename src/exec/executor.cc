@@ -30,6 +30,10 @@ uint64_t ResultSet::Fingerprint() const {
   return h;
 }
 
+namespace {
+
+/// Gives `ctx` the shared pool at `options`' degree of parallelism (none
+/// when it resolves to 1).
 void UsePool(const ExecOptions& options, ExecContext* ctx) {
   const int dop =
       options.threads > 0 ? options.threads : ThreadPool::default_dop();
@@ -38,6 +42,8 @@ void UsePool(const ExecOptions& options, ExecContext* ctx) {
     ctx->dop = dop;
   }
 }
+
+}  // namespace
 
 std::vector<ProvTupleRecord> CollectProvTuples(const ExecContext& ctx,
                                                const storage::Database& db) {

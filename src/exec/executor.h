@@ -68,11 +68,9 @@ struct ExecOptions {
   /// Collect per-operator stats and attach a QueryProfile to the result.
   bool profile = false;
   /// Degree of parallelism for morsel-driven operators: number of threads
-  /// (including the caller) a statement's scans and kernels may use. 0 =
-  /// the process default (ThreadPool::default_dop(), i.e. the --threads
-  /// flag), 1 = serial. Results are bit-identical at any value. UPDATE and
-  /// DELETE select through the same morsel-driven scan but fan out only at
-  /// an explicit value > 1, and always mutate serially (DESIGN.md §10).
+  /// (including the caller) a SELECT's scans and kernels may use. 0 = the
+  /// process default (ThreadPool::default_dop(), i.e. the --threads flag),
+  /// 1 = serial. Results are bit-identical at any value.
   int threads = 0;
   /// Cooperative cancellation token + memory budget for this statement; may
   /// be null (internal statements run ungoverned). Owned by the caller and
@@ -141,10 +139,6 @@ class Executor {
 
   storage::Database* db_;
 };
-
-/// Gives `ctx` the shared pool at `options`' degree of parallelism (none
-/// when it resolves to 1).
-void UsePool(const ExecOptions& options, ExecContext* ctx);
 
 /// Converts the ExecContext prov-tuple map into sorted ProvTupleRecords.
 std::vector<ProvTupleRecord> CollectProvTuples(const ExecContext& ctx,

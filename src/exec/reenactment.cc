@@ -50,6 +50,7 @@ Status SnapshotRows(const Table& table, const std::vector<Assignment>& sets,
     for (size_t i = begin; i < end; ++i) {
       LDV_RETURN_IF_ERROR(SnapshotRows(table, sets, batch, i, i + 1, pre));
     }
+    return Status::Ok();
   }
   const size_t base_cols = table.schema().columns().size();
   for (size_t i = begin; i < end; ++i) {
@@ -78,21 +79,19 @@ Status SnapshotRows(const Table& table, const std::vector<Assignment>& sets,
 }
 
 /// Runs `scan` — the SELECT scan kernel: fused filter, index-probe arm,
-/// morsel parallelism — over the live rows, stamping none of them, and
-/// snapshots the pre-state of the rows it selects, evaluating `sets` over
-/// the same batch. The snapshot is charged against the statement's memory
-/// budget.
+/// morsels — over the live rows, stamping none of them, and snapshots the
+/// pre-state of the rows it selects, evaluating `sets` over the same batch.
+/// The snapshot is charged against the statement's memory budget.
+///
+/// The morsels run on the calling thread: on perfbench's audit workloads,
+/// fanning them out over the pool bought no write latency and left the
+/// TPC-H generations that followed in the same process measurably slower.
 Result<PreState> SelectPreState(storage::Database* db, ScanNode* scan,
                                 const std::vector<Assignment>& sets,
-                                bool update, const ExecOptions& options) {
+                                bool update, QueryGovernor* governor) {
   ExecContext ctx;
   ctx.db = db;
-  ctx.governor = options.governor;
-  // Only an explicit degree of parallelism fans DML out; the process
-  // default scans on the calling thread. Measured on the point updates of
-  // the audit workloads, the fan-out gained no write latency and left the
-  // process measurably slower at allocation-heavy work that followed.
-  if (options.threads > 1) UsePool(options, &ctx);
+  ctx.governor = governor;
   LDV_ASSIGN_OR_RETURN(ColumnBatch batch, scan->Execute(&ctx));
 
   const size_t n = batch.num_rows;
@@ -149,7 +148,8 @@ Result<ResultSet> ExecDml(
   }
   LDV_ASSIGN_OR_RETURN(
       PreState pre,
-      SelectPreState(db, &scan, sets, assignments != nullptr, options));
+      SelectPreState(db, &scan, sets, assignments != nullptr,
+                     options.governor));
 
   ResultSet result;
   const int64_t stmt_seq = db->NextStatementSeq();

@@ -22,9 +22,9 @@ namespace ldv::exec {
 ///     be persisted into a package.
 /// `where` is the (possibly subquery-flattened) predicate to use; pass
 /// `update.where.get()` when no flattening was needed. May be null (all
-/// rows). The rows are selected by the SELECT scan kernel, fanned out only
-/// when `options.threads` > 1 (an equality between an indexed column and a
-/// literal probes the hash index), and mutated serially in rowid order
+/// rows). The rows are selected by the SELECT scan kernel on the calling
+/// thread (an equality between an indexed column and a literal probes the
+/// hash index), and mutated serially in rowid order
 /// after every new tuple has been built: a statement that fails changes
 /// nothing.
 Result<ResultSet> ExecUpdate(storage::Database* db,

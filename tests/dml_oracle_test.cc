@@ -19,13 +19,10 @@ using storage::RowVersion;
 /// its rows through the SELECT scan kernel (fused filter, index probe,
 /// morsels) and must do exactly what the serial row-at-a-time reference in
 /// row_oracle.cc does — same table contents, versions and archives, same
-/// `affected`, DmlRecords and prov_tuples in order, same error — at dop 1
-/// and at dop 8. Each side runs on its own copy of the database, built by
-/// the same statements.
+/// `affected`, DmlRecords and prov_tuples in order, same error. Each side
+/// runs on its own copy of the database, built by the same statements.
 class DmlOracleTest : public ::testing::Test {
  protected:
-  static constexpr int kDops[] = {1, 8};
-
   void SetUp() override {
     for (size_t i = 0; i < std::size(dbs_); ++i) {
       executors_.push_back(std::make_unique<Executor>(&dbs_[i]));
@@ -119,46 +116,40 @@ class DmlOracleTest : public ::testing::Test {
     }
   }
 
-  /// Runs `sql` on the oracle's copy and on the engine's at dop 1 and 8;
-  /// results, errors and every table's rows and archive must match
-  /// exactly. Returns whether the statement succeeded.
+  /// Runs `sql` on the oracle's copy and on the engine's; results, errors
+  /// and every table's rows and archive must match exactly. Returns whether
+  /// the statement succeeded.
   bool ExpectDmlMatchesOracle(const std::string& sql) {
     ExecOptions options;
     options.query_id = ++next_query_id_;
     options.process_id = 7;
     Result<ResultSet> oracle = OracleExecuteDml(&dbs_[0], sql, options);
-    for (size_t e = 0; e < std::size(kDops); ++e) {
-      const std::string what = sql + " [dop=" + std::to_string(kDops[e]) + "]";
-      options.threads = kDops[e];
-      Result<ResultSet> engine = executors_[e + 1]->Execute(sql, options);
-      if (!oracle.ok()) {
-        EXPECT_FALSE(engine.ok()) << what << ": oracle failed with "
-                                  << oracle.status().ToString();
-        if (!engine.ok()) {
-          EXPECT_EQ(engine.status().ToString(), oracle.status().ToString())
-              << what;
-        }
-      } else {
-        EXPECT_TRUE(engine.ok()) << what << " -> "
-                                 << engine.status().ToString();
-        if (engine.ok()) ExpectSameResult(*engine, *oracle, what);
+    Result<ResultSet> engine = executors_[1]->Execute(sql, options);
+    if (!oracle.ok()) {
+      EXPECT_FALSE(engine.ok()) << sql << ": oracle failed with "
+                                << oracle.status().ToString();
+      if (!engine.ok()) {
+        EXPECT_EQ(engine.status().ToString(), oracle.status().ToString())
+            << sql;
       }
-      EXPECT_EQ(dbs_[e + 1].current_statement_seq(),
-                dbs_[0].current_statement_seq())
-          << what;
-      for (const char* name : {"items", "grps"}) {
-        const storage::Table* got = dbs_[e + 1].FindTable(name);
-        const storage::Table* want = dbs_[0].FindTable(name);
-        ExpectSameVersions(got->rows(), want->rows(), what + " " + name);
-        ExpectSameVersions(got->archive(), want->archive(),
-                           what + " " + name + " archive");
-        EXPECT_EQ(got->live_row_count(), want->live_row_count()) << what;
-      }
+    } else {
+      EXPECT_TRUE(engine.ok()) << sql << " -> " << engine.status().ToString();
+      if (engine.ok()) ExpectSameResult(*engine, *oracle, sql);
+    }
+    EXPECT_EQ(dbs_[1].current_statement_seq(), dbs_[0].current_statement_seq())
+        << sql;
+    for (const char* name : {"items", "grps"}) {
+      const storage::Table* got = dbs_[1].FindTable(name);
+      const storage::Table* want = dbs_[0].FindTable(name);
+      ExpectSameVersions(got->rows(), want->rows(), sql + " " + name);
+      ExpectSameVersions(got->archive(), want->archive(),
+                         sql + " " + name + " archive");
+      EXPECT_EQ(got->live_row_count(), want->live_row_count()) << sql;
     }
     return oracle.ok();
   }
 
-  Database dbs_[3];  // the oracle's copy, then the engine's at each dop
+  Database dbs_[2];  // the oracle's copy, then the engine's
   std::vector<std::unique_ptr<Executor>> executors_;
   int64_t next_query_id_ = 0;
 };
