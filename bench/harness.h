@@ -182,7 +182,6 @@ inline RunResult RunExperiment(PackageMode mode, const tpch::QuerySpec& query,
   audit.package_dir = workdir + "/pkg_" + name;
   audit.sandbox_root = workdir + "/sandbox_" + name;
   audit.server_binary_path = BenchServerBinary(workdir);
-  audit.record_tuple_nodes = false;  // streaming packager path only
   VmImageModel vm({.scale = config.scale_factor});
   audit.vm_base_image_bytes = vm.ScaledBaseImageBytes();
   if (Status s = MakeDirs(audit.sandbox_root); !s.ok()) fail(s);

@@ -60,7 +60,6 @@ int main(int argc, char** argv) {
     audit.package_dir = *work + "/pkg_" + name;
     audit.sandbox_root = *work + "/sandbox_" + name;
     audit.server_binary_path = ldv::FindLdvServerBinary();
-    audit.record_tuple_nodes = false;  // benchmark-scale trace
     ldv::VmImageModel vm({.scale = sf});
     audit.vm_base_image_bytes = vm.ScaledBaseImageBytes();
     if (auto s = ldv::MakeDirs(audit.sandbox_root); !s.ok()) return Fail(s);

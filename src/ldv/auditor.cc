@@ -14,24 +14,7 @@
 
 namespace ldv {
 
-using storage::TupleVid;
-
 namespace {
-
-trace::NodeType StatementNodeType(sql::StatementKind kind) {
-  switch (kind) {
-    case sql::StatementKind::kInsert:
-      return trace::NodeType::kInsert;
-    case sql::StatementKind::kUpdate:
-      return trace::NodeType::kUpdate;
-    case sql::StatementKind::kDelete:
-      return trace::NodeType::kDelete;
-    default:
-      return trace::NodeType::kQuery;
-  }
-}
-
-std::string ProcessLabel(int64_t pid) { return "pid:" + std::to_string(pid); }
 
 /// Deterministic placeholder used when no real server binary is supplied.
 std::string PlaceholderServerBinary() {
@@ -120,37 +103,22 @@ Result<AuditReport> Auditor::Run(const AppFn& app) {
     LDV_RETURN_IF_ERROR(FinalizePackage());
   }
   report_.package_dir = options_.package_dir;
-  report_.trace_nodes = trace_.num_nodes();
-  report_.trace_edges = trace_.num_edges();
+  report_.trace_nodes = recorder_.graph().num_nodes();
+  report_.trace_edges = recorder_.graph().num_edges();
   return report_;
 }
 
 void Auditor::OnOsEvent(const os::OsEvent& event) {
+  Status traced = recorder_.OnOsEvent(event);
+  if (!traced.ok() && deferred_error_.ok()) deferred_error_ = traced;
   using Kind = os::OsEvent::Kind;
   switch (event.kind) {
-    case Kind::kProcessStart: {
-      trace::NodeId child = trace_.GetOrAddNode(trace::NodeType::kProcess,
-                                                ProcessLabel(event.pid));
-      if (event.parent_pid > 0) {
-        trace::NodeId parent = trace_.GetOrAddNode(
-            trace::NodeType::kProcess, ProcessLabel(event.parent_pid));
-        Status s = trace_.AddEdge(parent, child, trace::EdgeType::kExecuted,
-                                  event.t);
-        if (!s.ok() && deferred_error_.ok()) deferred_error_ = s;
-      }
+    case Kind::kProcessStart:
       ++report_.processes;
       break;
-    }
     case Kind::kProcessExit:
       break;
-    case Kind::kFileRead: {
-      trace::NodeId file =
-          trace_.GetOrAddNode(trace::NodeType::kFile, event.path);
-      trace::NodeId proc = trace_.GetOrAddNode(trace::NodeType::kProcess,
-                                               ProcessLabel(event.pid));
-      Status s =
-          trace_.MergeEdge(file, proc, trace::EdgeType::kReadFrom, event.t);
-      if (!s.ok() && deferred_error_.ok()) deferred_error_ = s;
+    case Kind::kFileRead:
       // CDE/PTU-style copy-on-first-read: input files enter the package in
       // the state the application observed; files the application created
       // itself are regenerated at replay and are not packaged (§II).
@@ -168,18 +136,9 @@ void Auditor::OnOsEvent(const os::OsEvent& event) {
         }
       }
       break;
-    }
-    case Kind::kFileWrite: {
-      trace::NodeId file =
-          trace_.GetOrAddNode(trace::NodeType::kFile, event.path);
-      trace::NodeId proc = trace_.GetOrAddNode(trace::NodeType::kProcess,
-                                               ProcessLabel(event.pid));
-      Status s =
-          trace_.MergeEdge(proc, file, trace::EdgeType::kHasWritten, event.t);
-      if (!s.ok() && deferred_error_.ok()) deferred_error_ = s;
+    case Kind::kFileWrite:
       app_written_files_.insert(event.path);
       break;
-    }
   }
 }
 
@@ -206,21 +165,6 @@ Status Auditor::EnsureTableRegistered(const std::string& table_name) {
   return Status::Ok();
 }
 
-trace::NodeId Auditor::TupleNode(const TupleVid& vid,
-                                 const std::string& table) {
-  // A table id names one table for the database's lifetime, so the vid
-  // alone decides the label.
-  auto [it, inserted] = tuple_nodes_.try_emplace(vid, trace::kInvalidNode);
-  if (inserted) {
-    it->second = trace_.GetOrAddNode(
-        trace::NodeType::kTuple,
-        StrFormat("%s#%lld.v%lld", table.c_str(),
-                  static_cast<long long>(vid.rowid),
-                  static_cast<long long>(vid.version)));
-  }
-  return it->second;
-}
-
 Result<std::ofstream*> Auditor::StreamFor(const std::string& relative_path) {
   auto it = streams_.find(relative_path);
   if (it != streams_.end()) return it->second.get();
@@ -236,23 +180,25 @@ Result<std::ofstream*> Auditor::StreamFor(const std::string& relative_path) {
 }
 
 Status Auditor::PersistProvTuple(const exec::ProvTupleRecord& tuple) {
-  if (persisted_vids_.contains(tuple.vid)) return Status::Ok();
-  persisted_vids_.insert(tuple.vid);
+  if (!persisted_vids_.insert(tuple.vid).second) return Status::Ok();
+  auto file = tuple_files_.find(tuple.table);
+  if (file == tuple_files_.end()) {
+    LDV_ASSIGN_OR_RETURN(
+        std::ofstream * out,
+        StreamFor(std::string(kTupleDataDir) + "/" + tuple.table + ".csv"));
+    file = tuple_files_.emplace(tuple.table, TupleFile{out, 0}).first;
+  }
+  csv_fields_.resize(tuple.values.size() + 2);
+  csv_fields_[0] = std::to_string(tuple.vid.rowid);
+  csv_fields_[1] = std::to_string(tuple.vid.version);
+  for (size_t i = 0; i < tuple.values.size(); ++i) {
+    csv_fields_[i + 2] = tuple.values[i].ToText();
+  }
   CsvWriter row;
-  std::vector<std::string> fields;
-  fields.reserve(tuple.values.size() + 2);
-  fields.push_back(std::to_string(tuple.vid.rowid));
-  fields.push_back(std::to_string(tuple.vid.version));
-  for (const storage::Value& v : tuple.values) fields.push_back(v.ToText());
-  row.AppendRow(fields);
-  LDV_ASSIGN_OR_RETURN(
-      std::ofstream * out,
-      StreamFor(std::string(kTupleDataDir) + "/" + tuple.table + ".csv"));
-  out->write(row.data().data(),
-             static_cast<std::streamsize>(row.data().size()));
-  out->flush();
-  if (!*out) return Status::IOError("short write to packaged tuple file");
-  ++tuples_per_table_[tuple.table];
+  row.AppendRow(csv_fields_);
+  file->second.out->write(row.data().data(),
+                          static_cast<std::streamsize>(row.data().size()));
+  ++file->second.rows;
   ++report_.tuples_persisted;
   tuples_metric_->Add(1);
   return Status::Ok();
@@ -261,17 +207,7 @@ Status Auditor::PersistProvTuple(const exec::ProvTupleRecord& tuple) {
 Status Auditor::OnDbStatement(const DbStatementRecord& record) {
   ++report_.statements_audited;
   statements_metric_->Add(1);
-  const exec::ResultSet& result = *record.result;
-
-  // --- Trace: statement node + run edge (Definition 5). ---
-  trace::NodeId stmt_node = trace_.GetOrAddNode(
-      StatementNodeType(record.kind),
-      StrFormat("q%lld: %s", static_cast<long long>(record.query_id),
-                record.sql.substr(0, 60).c_str()));
-  trace::NodeId proc_node = trace_.GetOrAddNode(
-      trace::NodeType::kProcess, ProcessLabel(record.process_id));
-  LDV_RETURN_IF_ERROR(
-      trace_.AddEdge(proc_node, stmt_node, trace::EdgeType::kRun, record.t));
+  const bool server_included = options_.mode == PackageMode::kServerIncluded;
 
   // --- Server-excluded: stream the request/response pair to disk. ---
   if (options_.mode == PackageMode::kServerExcluded) {
@@ -282,99 +218,36 @@ Status Auditor::OnDbStatement(const DbStatementRecord& record) {
                          StreamFor(std::string(kReplayLogFile)));
     out->write(frame.data().data(),
                static_cast<std::streamsize>(frame.data().size()));
-    out->flush();
-    if (!*out) return Status::IOError("short write to replay log");
     ++statements_recorded_;
   }
 
-  if (options_.mode != PackageMode::kServerIncluded) return Status::Ok();
-
-  // --- Server-included: persist relevant tuples + build DB-side trace. ---
-  // Input side: every tuple version in the statement's provenance that the
-  // application did not itself create is packaged (§VII-D).
-  for (const exec::ProvTupleRecord& tuple : result.prov_tuples) {
-    if (created_vids_.contains(tuple.vid)) continue;
-    LDV_RETURN_IF_ERROR(PersistProvTuple(tuple));
-  }
-
-  const bool tuples_in_trace = options_.record_tuple_nodes;
-  std::unordered_map<TupleVid, trace::NodeId, storage::TupleVidHash>
-      input_nodes;
-  if (tuples_in_trace) {
-    for (const exec::ProvTupleRecord& tuple : result.prov_tuples) {
-      trace::NodeId node = TupleNode(tuple.vid, tuple.table);
-      input_nodes.emplace(tuple.vid, node);
-      LDV_RETURN_IF_ERROR(trace_.MergeEdge(
-          node, stmt_node, trace::EdgeType::kHasRead, record.t));
+  if (server_included) {
+    // Every tuple version in the statement's provenance that the
+    // application did not itself create is packaged (§VII-D).
+    for (const exec::ProvTupleRecord& tuple : record.result->prov_tuples) {
+      if (created_vids_.contains(tuple.vid)) continue;
+      LDV_RETURN_IF_ERROR(PersistProvTuple(tuple));
     }
-  }
-
-  if (record.kind == sql::StatementKind::kSelect && tuples_in_trace) {
-    // Result tuples are fresh entities returned to the process (Figure 2).
-    for (size_t i = 0; i < result.rows.size(); ++i) {
-      trace::NodeId out = trace_.GetOrAddNode(
-          trace::NodeType::kTuple,
-          StrFormat("q%lld#%zu", static_cast<long long>(record.query_id), i));
-      LDV_RETURN_IF_ERROR(trace_.AddEdge(
-          stmt_node, out, trace::EdgeType::kHasReturned, record.t));
-      LDV_RETURN_IF_ERROR(trace_.AddEdge(
-          out, proc_node, trace::EdgeType::kReadFromDb, record.t));
-      if (i < result.lineage.size()) {
-        for (const TupleVid& vid : result.lineage[i]) {
-          auto it = input_nodes.find(vid);
-          if (it != input_nodes.end()) {
-            trace_.AddTupleDependency(out, it->second);
-          }
-        }
-      }
-    }
-  }
-
-  // DML effects: remember application-created versions (excluded from the
-  // package) and add the reenactment edges.
-  for (size_t i = 0; i < result.dml.size(); ++i) {
-    const exec::DmlRecord& dml = result.dml[i];
-    switch (dml.kind) {
-      case exec::DmlRecord::Kind::kInserted: {
+    // Versions the statement created are regenerated at replay.
+    for (const exec::DmlRecord& dml : record.result->dml) {
+      if (dml.kind != exec::DmlRecord::Kind::kDeleted) {
         created_vids_.insert(dml.vid);
-        if (tuples_in_trace) {
-          trace::NodeId node = TupleNode(dml.vid, dml.table);
-          LDV_RETURN_IF_ERROR(trace_.AddEdge(
-              stmt_node, node, trace::EdgeType::kHasReturned, record.t));
-          // INSERT ... SELECT: source lineage becomes the new tuple's deps.
-          if (i < result.lineage.size()) {
-            for (const TupleVid& vid : result.lineage[i]) {
-              auto it = input_nodes.find(vid);
-              if (it != input_nodes.end()) {
-                trace_.AddTupleDependency(node, it->second);
-              }
-            }
-          }
-        }
-        break;
-      }
-      case exec::DmlRecord::Kind::kUpdated: {
-        created_vids_.insert(dml.vid);
-        if (tuples_in_trace) {
-          trace::NodeId new_node = TupleNode(dml.vid, dml.table);
-          trace::NodeId old_node = TupleNode(dml.prior, dml.table);
-          LDV_RETURN_IF_ERROR(trace_.MergeEdge(
-              old_node, stmt_node, trace::EdgeType::kHasRead, record.t));
-          LDV_RETURN_IF_ERROR(trace_.AddEdge(
-              stmt_node, new_node, trace::EdgeType::kHasReturned, record.t));
-          trace_.AddTupleDependency(new_node, old_node);
-        }
-        break;
-      }
-      case exec::DmlRecord::Kind::kDeleted: {
-        if (tuples_in_trace) {
-          trace::NodeId old_node = TupleNode(dml.prior, dml.table);
-          LDV_RETURN_IF_ERROR(trace_.MergeEdge(
-              old_node, stmt_node, trace::EdgeType::kHasRead, record.t));
-        }
-        break;
       }
     }
+  }
+
+  LDV_RETURN_IF_ERROR(recorder_.OnStatement(
+      {.process_id = record.process_id,
+       .query_id = record.query_id,
+       .sql = record.sql,
+       .kind = record.kind,
+       .t = record.t,
+       .provenance = server_included ? record.result : nullptr}));
+
+  // One flush per statement for every package file it appended to.
+  for (auto& [path, stream] : streams_) {
+    stream->flush();
+    if (!*stream) return Status::IOError("short write to package file " + path);
   }
   return Status::Ok();
 }
@@ -409,8 +282,8 @@ Status Auditor::FinalizePackage() {
     std::string schema_sql;
     for (PackageManifest::TableEntry& entry : table_entries_) {
       entry.rows = 0;
-      auto it = tuples_per_table_.find(entry.name);
-      if (it != tuples_per_table_.end()) entry.rows = it->second;
+      auto it = tuple_files_.find(entry.name);
+      if (it != tuple_files_.end()) entry.rows = it->second.rows;
       schema_sql += entry.create_sql;
       schema_sql += "\n";
     }
@@ -447,7 +320,7 @@ Status Auditor::FinalizePackage() {
   // The serialized execution trace travels with every package (§VII-D).
   LDV_RETURN_IF_ERROR(
       WriteStringToFile(JoinPath(options_.package_dir, std::string(kTraceFile)),
-                        trace::SerializeTrace(trace_)));
+                        trace::SerializeTrace(recorder_.graph())));
   manifest.has_trace = true;
 
   return manifest.Save(options_.package_dir);

@@ -12,6 +12,7 @@
 #include "exec/executor.h"
 #include "ldv/app.h"
 #include "ldv/manifest.h"
+#include "ldv/trace_recorder.h"
 #include "net/db_client.h"
 #include "net/retrying_db_client.h"
 #include "obs/metrics.h"
@@ -35,10 +36,6 @@ struct AuditOptions {
   /// Empty: a small deterministic placeholder blob is written instead (and
   /// noted in the manifest), so audits work from any build layout.
   std::string server_binary_path;
-  /// Create per-result-tuple trace nodes (rich trace for provenance
-  /// queries). Disable for large benchmark workloads where the §VII-D
-  /// streaming persistence path alone decides package contents.
-  bool record_tuple_nodes = true;
   /// Bytes of the synthetic VM base image (vm-image mode). Defaults to the
   /// paper's 8.2 GB scaled by 1/100 — see DESIGN.md substitution #5.
   int64_t vm_base_image_bytes = 82LL * 1000 * 1000;
@@ -90,7 +87,7 @@ class Auditor final : public os::OsEventSink, public AppEnv {
   void OnOsEvent(const os::OsEvent& event) override;
 
   /// The combined execution trace built so far.
-  const trace::TraceGraph& trace_graph() const { return trace_; }
+  const trace::TraceGraph& trace_graph() const { return recorder_.graph(); }
 
   const AuditOptions& options() const { return options_; }
 
@@ -115,16 +112,14 @@ class Auditor final : public os::OsEventSink, public AppEnv {
   /// moment, §VII-B): enables version archiving and records the schema.
   Status EnsureTableRegistered(const std::string& table);
 
-  /// Builds trace nodes/edges and streams provenance tuples / replay frames
-  /// to the package.
+  /// Records the statement in the trace and streams provenance tuples /
+  /// replay frames to the package.
   Status OnDbStatement(const DbStatementRecord& record);
 
   Status PersistProvTuple(const exec::ProvTupleRecord& tuple);
   /// Open-once appender for package files streamed during the run (the
   /// per-table tuple CSVs and the replay log).
   Result<std::ofstream*> StreamFor(const std::string& relative_path);
-  trace::NodeId TupleNode(const storage::TupleVid& vid,
-                          const std::string& table);
   Status FinalizePackage();
 
   storage::Database* db_;
@@ -133,7 +128,7 @@ class Auditor final : public os::OsEventSink, public AppEnv {
   os::Vfs vfs_;
   os::SimOs sim_os_;
   net::EngineHandle engine_;
-  trace::TraceGraph trace_;
+  TraceRecorder recorder_;
 
   std::vector<std::unique_ptr<AuditingDbClient>> clients_;
   std::vector<std::unique_ptr<net::DbClient>> backends_;
@@ -142,14 +137,18 @@ class Auditor final : public os::OsEventSink, public AppEnv {
   // Tuple versions created by the application itself — excluded from the
   // package (§II / §VII-D).
   std::unordered_set<storage::TupleVid, storage::TupleVidHash> created_vids_;
-  // Trace node of every tuple version seen so far.
-  std::unordered_map<storage::TupleVid, trace::NodeId, storage::TupleVidHash>
-      tuple_nodes_;
   // Tuple versions already persisted (the §VII-D in-memory dedup table).
   std::unordered_set<storage::TupleVid, storage::TupleVidHash> persisted_vids_;
   std::unordered_set<std::string> registered_tables_;
   std::vector<PackageManifest::TableEntry> table_entries_;
-  std::unordered_map<std::string, int64_t> tuples_per_table_;
+  /// Per table: its tuple CSV stream and the rows written to it.
+  struct TupleFile {
+    std::ofstream* out = nullptr;
+    int64_t rows = 0;
+  };
+  std::unordered_map<std::string, TupleFile> tuple_files_;
+  /// Scratch row for PersistProvTuple, reused across tuples.
+  std::vector<std::string> csv_fields_;
   // Files already copied / first written by the app (copy-on-first-read).
   std::unordered_map<std::string, std::unique_ptr<std::ofstream>> streams_;
   std::unordered_set<std::string> copied_files_;

@@ -1,5 +1,6 @@
 #include "storage/value.h"
 
+#include <charconv>
 #include <cmath>
 
 #include "common/logging.h"
@@ -140,8 +141,14 @@ std::string Value::ToText() const {
       return std::to_string(int_);
     case ValueType::kDouble: {
       // %.15g keeps round-trip fidelity for workload values while staying
-      // human-readable in CSV files.
-      return StrFormat("%.15g", double_);
+      // human-readable in CSV files. to_chars with an explicit precision is
+      // specified to print exactly what printf("%.15g") does, without the
+      // format-string parse.
+      char buf[32];
+      auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), double_,
+                                     std::chars_format::general, 15);
+      LDV_CHECK(ec == std::errc()) << "double does not fit %.15g buffer";
+      return std::string(buf, end);
     }
     case ValueType::kString:
       return string_;

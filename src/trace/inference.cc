@@ -15,8 +15,8 @@ namespace {
 /// guarantee an activity-only OS path is a process chain).
 bool DirectEntityDependency(const TraceGraph& graph, NodeId later,
                             NodeId earlier) {
-  NodeType later_type = graph.node(later).type;
-  NodeType earlier_type = graph.node(earlier).type;
+  NodeType later_type = graph.node_type(later);
+  NodeType earlier_type = graph.node_type(earlier);
   if (SideOf(later_type) != SideOf(earlier_type)) {
     return true;  // cross-model: no D(G) side condition (Definition 9.1.ii)
   }
@@ -40,40 +40,41 @@ std::vector<NodeId> DependencyAnalyzer::Search(NodeId start, int64_t t,
   if (start_is_entity) entity_bound[start] = t;
 
   while (!frontier.empty()) {
-    auto [anchor, anchor_bound] = frontier.back();
+    const NodeId anchor = frontier.back().first;
+    const int64_t anchor_bound = frontier.back().second;
     frontier.pop_back();
-    const bool anchor_is_entity = IsEntity(g.node(anchor).type);
+    const bool anchor_is_entity = IsEntity(g.node_type(anchor));
 
     // Explore activity-only backward paths from the anchor.
     std::unordered_map<NodeId, int64_t> activity_bound;
     std::vector<std::pair<NodeId, int64_t>> stack;
     stack.emplace_back(anchor, anchor_bound);
     while (!stack.empty()) {
-      auto [v, bound] = stack.back();
+      const NodeId v = stack.back().first;
+      const int64_t bound = stack.back().second;
       stack.pop_back();
-      for (int32_t edge_index : g.InEdges(v)) {
-        const TraceEdge& edge = g.edges()[static_cast<size_t>(edge_index)];
-        if (use_temporal_ && edge.t.begin > bound) continue;
+      g.ForEachInEdge(v, [&](int32_t edge_index) {
+        const TraceEdge edge = g.edge(edge_index);
+        if (use_temporal_ && edge.t.begin > bound) return;
         int64_t next_bound =
             use_temporal_ ? std::min(bound, edge.t.end) : kTimeMax;
         NodeId u = edge.from;
-        if (IsActivity(g.node(u).type)) {
+        if (IsActivity(g.node_type(u))) {
           auto it = activity_bound.find(u);
-          if (it != activity_bound.end() && it->second >= next_bound) continue;
+          if (it != activity_bound.end() && it->second >= next_bound) return;
           activity_bound[u] = next_bound;
           stack.emplace_back(u, next_bound);
         } else {
           // Reached the previous entity on the path.
-          if (anchor_is_entity &&
-              !DirectEntityDependency(g, anchor, u)) {
-            continue;
+          if (anchor_is_entity && !DirectEntityDependency(g, anchor, u)) {
+            return;
           }
           auto it = entity_bound.find(u);
-          if (it != entity_bound.end() && it->second >= next_bound) continue;
+          if (it != entity_bound.end() && it->second >= next_bound) return;
           entity_bound[u] = next_bound;
           frontier.emplace_back(u, next_bound);
         }
-      }
+      });
     }
   }
 
@@ -105,7 +106,7 @@ std::vector<NodeId> DependencyAnalyzer::RelevantPackageTuples() const {
   // Union of state dependencies over all activities.
   std::vector<bool> needed(static_cast<size_t>(g.num_nodes()), false);
   for (NodeId id = 0; id < g.num_nodes(); ++id) {
-    if (!IsActivity(g.node(id).type)) continue;
+    if (!IsActivity(g.node_type(id))) continue;
     for (NodeId dep : StateDependenciesOfActivity(id)) {
       needed[static_cast<size_t>(dep)] = true;
     }
@@ -113,7 +114,7 @@ std::vector<NodeId> DependencyAnalyzer::RelevantPackageTuples() const {
   std::vector<NodeId> out;
   for (NodeId id = 0; id < g.num_nodes(); ++id) {
     if (!needed[static_cast<size_t>(id)]) continue;
-    if (g.node(id).type != NodeType::kTuple) continue;
+    if (g.node_type(id) != NodeType::kTuple) continue;
     // "Created by the application itself": any incoming edge (§VII-D).
     if (!g.InEdges(id).empty()) continue;
     out.push_back(id);
@@ -127,22 +128,22 @@ bool PathSatisfiesDefinition11(const TraceGraph& graph,
   if (path_edges.empty()) return false;
   // Check connectivity v1 -e1-> v2 -e2-> ... -e_{n-1}-> vn.
   for (size_t i = 1; i < path_edges.size(); ++i) {
-    const TraceEdge& prev = graph.edges()[static_cast<size_t>(path_edges[i - 1])];
-    const TraceEdge& cur = graph.edges()[static_cast<size_t>(path_edges[i])];
+    const TraceEdge prev = graph.edge(path_edges[i - 1]);
+    const TraceEdge cur = graph.edge(path_edges[i]);
     if (prev.to != cur.from) return false;
   }
   // Condition 1: adjacent same-model entities on the path must be in D(G).
   std::vector<NodeId> nodes;
-  nodes.push_back(graph.edges()[static_cast<size_t>(path_edges[0])].from);
+  nodes.push_back(graph.edge(path_edges[0]).from);
   for (int32_t e : path_edges) {
-    nodes.push_back(graph.edges()[static_cast<size_t>(e)].to);
+    nodes.push_back(graph.edge(e).to);
   }
   NodeId prev_entity = kInvalidNode;
   for (NodeId v : nodes) {
-    if (!IsEntity(graph.node(v).type)) continue;
+    if (!IsEntity(graph.node_type(v))) continue;
     if (prev_entity != kInvalidNode) {
-      NodeType a = graph.node(prev_entity).type;
-      NodeType b = graph.node(v).type;
+      NodeType a = graph.node_type(prev_entity);
+      NodeType b = graph.node_type(v);
       if (SideOf(a) == SideOf(b)) {
         if (b == NodeType::kTuple &&
             !graph.HasTupleDependency(v, prev_entity)) {
@@ -158,7 +159,7 @@ bool PathSatisfiesDefinition11(const TraceGraph& graph,
   // T_n <= t.
   int64_t current = std::numeric_limits<int64_t>::min();
   for (size_t i = 0; i < path_edges.size(); ++i) {
-    const TraceEdge& edge = graph.edges()[static_cast<size_t>(path_edges[i])];
+    const TraceEdge edge = graph.edge(path_edges[i]);
     // Time at node v_{i+1} must be >= begin(edge_i); time at node v_i must
     // be <= end(edge_i).
     if (current > edge.t.end) return false;  // T_i <= end(edge_i) infeasible

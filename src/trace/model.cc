@@ -67,14 +67,10 @@ std::string_view EdgeTypeName(EdgeType type) {
   return "?";
 }
 
-namespace {
-
 bool IsStatement(NodeType type) {
   return type == NodeType::kQuery || type == NodeType::kInsert ||
          type == NodeType::kUpdate || type == NodeType::kDelete;
 }
-
-}  // namespace
 
 const EdgeTypeRule& RuleFor(EdgeType type) {
   static const EdgeTypeRule kReadFromRule{.from_file = true,

@@ -41,6 +41,8 @@ inline constexpr int kNumEdgeTypes = 7;
 
 bool IsActivity(NodeType type);
 inline bool IsEntity(NodeType type) { return !IsActivity(type); }
+/// The DB-side activities: query, insert, update, delete.
+bool IsStatement(NodeType type);
 ModelSide SideOf(NodeType type);
 
 std::string_view NodeTypeName(NodeType type);

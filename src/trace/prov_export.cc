@@ -7,8 +7,8 @@ namespace ldv::trace {
 namespace {
 
 /// PROV-JSON qualified name for a node: "ldv:<kind><id>".
-std::string QName(NodeId id, const TraceNode& node) {
-  return StrFormat("ldv:%s%d", IsActivity(node.type) ? "a" : "e", id);
+std::string QName(NodeId id, NodeType type) {
+  return StrFormat("ldv:%s%d", IsActivity(type) ? "a" : "e", id);
 }
 
 Json IntervalAttrs(const os::Interval& t) {
@@ -31,15 +31,15 @@ std::string ExportProvJson(const TraceGraph& graph) {
   Json activities = Json::MakeObject();
   Json entities = Json::MakeObject();
   for (NodeId id = 0; id < graph.num_nodes(); ++id) {
-    const TraceNode& node = graph.node(id);
+    const TraceNode node = graph.node(id);
     Json record = Json::MakeObject();
     record.Set("prov:type", Json::MakeString(
                                 "ldv:" + std::string(NodeTypeName(node.type))));
     record.Set("prov:label", Json::MakeString(node.label));
     if (IsActivity(node.type)) {
-      activities.Set(QName(id, node), std::move(record));
+      activities.Set(QName(id, node.type), std::move(record));
     } else {
-      entities.Set(QName(id, node), std::move(record));
+      entities.Set(QName(id, node.type), std::move(record));
     }
   }
   doc.Set("activity", std::move(activities));
@@ -49,9 +49,10 @@ std::string ExportProvJson(const TraceGraph& graph) {
   Json generated = Json::MakeObject();
   Json started = Json::MakeObject();
   int counter = 0;
-  for (const TraceEdge& edge : graph.edges()) {
-    const TraceNode& from = graph.node(edge.from);
-    const TraceNode& to = graph.node(edge.to);
+  for (int32_t i = 0; i < graph.num_edges(); ++i) {
+    const TraceEdge edge = graph.edge(i);
+    const NodeType from = graph.node_type(edge.from);
+    const NodeType to = graph.node_type(edge.to);
     Json record = IntervalAttrs(edge.t);
     record.Set("ldv:edge",
                Json::MakeString(std::string(EdgeTypeName(edge.type))));
@@ -90,9 +91,9 @@ std::string ExportProvJson(const TraceGraph& graph) {
     for (NodeId dep : graph.TupleDependenciesOf(id)) {
       Json record = Json::MakeObject();
       record.Set("prov:generatedEntity",
-                 Json::MakeString(QName(id, graph.node(id))));
+                 Json::MakeString(QName(id, graph.node_type(id))));
       record.Set("prov:usedEntity",
-                 Json::MakeString(QName(dep, graph.node(dep))));
+                 Json::MakeString(QName(dep, graph.node_type(dep))));
       derived.Set(StrFormat("_:d%d", ++counter), std::move(record));
     }
   }

@@ -232,7 +232,7 @@ bool BruteForceDepends(const TraceGraph& g, NodeId target, NodeId candidate,
     }
     for (int32_t edge_index : g.OutEdges(v)) {
       if (used_edges.contains(edge_index)) continue;
-      const TraceEdge& edge = g.edges()[static_cast<size_t>(edge_index)];
+      const TraceEdge edge = g.edge(edge_index);
       used_edges.insert(edge_index);
       path.push_back(edge_index);
       dfs(edge.to);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <tuple>
 
 #include "trace/graph.h"
@@ -9,6 +10,7 @@
 #include "trace/serialize.h"
 #include "util/rng.h"
 #include "util/serde.h"
+#include "util/strings.h"
 
 namespace ldv::trace {
 namespace {
@@ -98,8 +100,8 @@ TEST(TraceGraphTest, MergeEdgeExtendsInterval) {
   ASSERT_TRUE(g.MergeEdge(file, proc, EdgeType::kReadFrom, {1, 2}).ok());
   ASSERT_TRUE(g.MergeEdge(file, proc, EdgeType::kReadFrom, {9, 12}).ok());
   ASSERT_EQ(g.num_edges(), 1);
-  EXPECT_EQ(g.edges()[0].t.begin, 1);
-  EXPECT_EQ(g.edges()[0].t.end, 12);
+  EXPECT_EQ(g.edge(0).t.begin, 1);
+  EXPECT_EQ(g.edge(0).t.end, 12);
 }
 
 TEST(TraceGraphTest, TupleDependencies) {
@@ -188,8 +190,7 @@ TEST(TraceSerializeTest, RoundTrip) {
   // Edge intervals survive.
   NodeId file_a = restored->FindNode(NodeType::kFile, "A");
   ASSERT_EQ(restored->OutEdges(file_a).size(), 1u);
-  const TraceEdge& edge =
-      restored->edges()[static_cast<size_t>(restored->OutEdges(file_a)[0])];
+  const TraceEdge edge = restored->edge(restored->OutEdges(file_a)[0]);
   EXPECT_EQ(edge.t.begin, 1);
   EXPECT_EQ(edge.t.end, 6);
 }
@@ -211,7 +212,7 @@ struct TraceBytes {
 
   std::string Encode() const {
     BufferWriter w;
-    w.PutU32(0x4C445654);  // "LDVT"
+    w.PutU32(0x4C445632);  // "LDV2"
     w.PutVarint(2);
     w.PutU8(file_type);
     w.PutString("A");
@@ -223,6 +224,7 @@ struct TraceBytes {
     w.PutU8(edge_type);
     w.PutVarint(1);
     w.PutVarint(2);
+    w.PutVarint(0);  // no lineage blocks
     w.PutVarint(with_dep ? 1 : 0);
     if (with_dep) {
       w.PutVarint(dep_out);
@@ -241,12 +243,16 @@ TEST(TraceSerializeTest, HandWrittenTraceMatchesSerializer) {
   EXPECT_TRUE(DeserializeTrace(TraceBytes{}.Encode()).ok());
 }
 
+void ExpectIOError(const std::string& bytes, const std::string& what) {
+  auto graph = DeserializeTrace(bytes);
+  ASSERT_FALSE(graph.ok()) << what;
+  EXPECT_EQ(graph.status().code(), StatusCode::kIOError)
+      << what << ": " << graph.status().ToString();
+}
+
 TEST(TraceSerializeTest, RejectsOutOfRangeTypeBytes) {
   auto expect_io_error = [](const TraceBytes& bytes, const char* what) {
-    auto graph = DeserializeTrace(bytes.Encode());
-    ASSERT_FALSE(graph.ok()) << what;
-    EXPECT_EQ(graph.status().code(), StatusCode::kIOError)
-        << what << ": " << graph.status().ToString();
+    ExpectIOError(bytes.Encode(), what);
   };
   for (uint8_t bad : {uint8_t{kNumNodeTypes}, uint8_t{0x80}, uint8_t{0xFF}}) {
     TraceBytes bytes;
@@ -268,6 +274,133 @@ TEST(TraceSerializeTest, RejectsOutOfRangeTypeBytes) {
   dep.with_dep = true;
   dep.dep_out = 2;
   expect_io_error(dep, "tuple dependency");
+}
+
+/// Process P runs query Q, which reads tuples t0 and t1 and returns two
+/// rows: row 0 depends on t1 and t0, row 1 on t1. Nodes: P=0, Q=1, t0=2,
+/// t1=3, rows 4 and 5; edges: run=0, block edges 1..6.
+TraceGraph BuildBlockTrace() {
+  TraceGraph g;
+  NodeId p = g.GetOrAddNode(NodeType::kProcess, "P");
+  NodeId q = g.GetOrAddNode(NodeType::kQuery, "Q");
+  NodeId t0 = g.GetOrAddNode(NodeType::kTuple, "t0");
+  NodeId t1 = g.GetOrAddNode(NodeType::kTuple, "t1");
+  EXPECT_TRUE(g.AddEdge(p, q, EdgeType::kRun, {3, 4}).ok());
+  LineageBlock block;
+  block.stmt = q;
+  block.proc = p;
+  block.t = {3, 4};
+  block.row_label_prefix = "q#";
+  block.inputs = {t0, t1};
+  block.AddRow();
+  block.AddDependency(1);
+  block.AddDependency(0);
+  block.AddRow();
+  block.AddDependency(1);
+  EXPECT_TRUE(g.AddLineageBlock(std::move(block)).ok());
+  return g;
+}
+
+/// BuildBlockTrace() written field by field, with the block's fields open
+/// to corruption.
+struct BlockTraceBytes {
+  int64_t node_gap = 4;
+  int64_t edge_gap = 1;
+  int64_t stmt = 1;
+  int64_t proc = 0;
+  std::vector<int64_t> input_deltas = {2, 1};
+  int64_t num_rows = 2;
+  std::vector<int64_t> row_counts = {2, 1};
+  std::vector<int64_t> dep_deltas = {1, -1, 0};
+
+  std::string Encode() const {
+    BufferWriter w;
+    w.PutU32(0x4C445632);  // "LDV2"
+    w.PutVarint(4);
+    for (auto [type, label] : {std::pair{NodeType::kProcess, "P"},
+                               std::pair{NodeType::kQuery, "Q"},
+                               std::pair{NodeType::kTuple, "t0"},
+                               std::pair{NodeType::kTuple, "t1"}}) {
+      w.PutU8(static_cast<uint8_t>(type));
+      w.PutString(label);
+    }
+    w.PutVarint(1);
+    w.PutVarint(0);
+    w.PutVarint(1);
+    w.PutU8(static_cast<uint8_t>(EdgeType::kRun));
+    w.PutVarint(3);
+    w.PutVarint(4);
+    w.PutVarint(1);  // one lineage block
+    w.PutVarint(node_gap);
+    w.PutVarint(edge_gap);
+    w.PutVarint(stmt);
+    w.PutVarint(proc);
+    w.PutVarint(3);
+    w.PutVarint(4);
+    w.PutString("q#");
+    w.PutVarint(static_cast<int64_t>(input_deltas.size()));
+    for (int64_t d : input_deltas) w.PutVarint(d);
+    w.PutVarint(num_rows);
+    for (int64_t c : row_counts) w.PutVarint(c);
+    for (int64_t d : dep_deltas) w.PutVarint(d);
+    w.PutVarint(0);  // no explicit dependency pairs
+    return w.TakeData();
+  }
+};
+
+TEST(TraceSerializeTest, HandWrittenBlockTraceMatchesSerializer) {
+  TraceGraph g = BuildBlockTrace();
+  const std::string bytes = BlockTraceBytes{}.Encode();
+  EXPECT_EQ(SerializeTrace(g), bytes);
+  auto restored = DeserializeTrace(bytes);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(SerializeTrace(*restored), bytes);
+  EXPECT_EQ(restored->node(4).label, "q#0");
+  EXPECT_EQ(restored->TupleDependenciesOf(4), (std::vector<NodeId>{3, 2}));
+}
+
+TEST(TraceSerializeTest, RejectsCorruptLineageBlocks) {
+  const std::string good = BlockTraceBytes{}.Encode();
+  // Every truncation, and a varint whose continuation bit runs off the end.
+  for (size_t n = 0; n < good.size(); ++n) {
+    ExpectIOError(good.substr(0, n), "truncated to " + std::to_string(n));
+    ExpectIOError(good.substr(0, n) + "\x80",
+                  "unterminated varint at " + std::to_string(n));
+  }
+  auto corrupt = [](auto mutate) {
+    BlockTraceBytes bytes;
+    mutate(bytes);
+    return bytes.Encode();
+  };
+  ExpectIOError(corrupt([](auto& b) { b.row_counts = {2, -1}; }),
+                "non-monotone offsets");
+  ExpectIOError(corrupt([](auto& b) { b.row_counts = {-2, 5}; }),
+                "negative first row");
+  ExpectIOError(corrupt([](auto& b) { b.dep_deltas = {1, -1, 1}; }),
+                "dependency index == input count");
+  ExpectIOError(corrupt([](auto& b) { b.dep_deltas = {1, -2, 1}; }),
+                "negative dependency index");
+  ExpectIOError(corrupt([](auto& b) { b.dep_deltas = {1, 1LL << 40, 1}; }),
+                "huge dependency delta");
+  for (int64_t rows : {int64_t{1} << 31, int64_t{1} << 62,
+                       std::numeric_limits<int64_t>::max(), int64_t{-1}}) {
+    ExpectIOError(corrupt([rows](auto& b) { b.num_rows = rows; }),
+                  "row count " + std::to_string(rows));
+  }
+  ExpectIOError(corrupt([](auto& b) { b.stmt = 4; }), "statement id past end");
+  ExpectIOError(corrupt([](auto& b) { b.stmt = -1; }), "negative statement");
+  ExpectIOError(corrupt([](auto& b) { b.stmt = 2; }), "statement is a tuple");
+  ExpectIOError(corrupt([](auto& b) { b.proc = 99; }), "process id past end");
+  ExpectIOError(corrupt([](auto& b) { b.proc = 1; }), "process is a query");
+  ExpectIOError(corrupt([](auto& b) { b.input_deltas = {2, 9}; }),
+                "input id past end");
+  ExpectIOError(corrupt([](auto& b) { b.input_deltas = {2, 0}; }),
+                "repeated input");
+  ExpectIOError(corrupt([](auto& b) { b.input_deltas = {0, 1}; }),
+                "input is a process");
+  ExpectIOError(corrupt([](auto& b) { b.node_gap = 5; }), "node gap past end");
+  ExpectIOError(corrupt([](auto& b) { b.node_gap = -1; }), "negative gap");
+  ExpectIOError(corrupt([](auto& b) { b.edge_gap = 2; }), "edge gap past end");
 }
 
 /// Naive model of AddEdge/MergeEdge: a flat edge list, merges scan it from
@@ -347,10 +480,11 @@ TEST(TraceGraphTest, MergeEdgeMatchesReferenceModel) {
         ref.Merge(from, to, type, t);
       }
     }
-    ASSERT_EQ(g.edges().size(), ref.edges.size()) << "seed " << seed;
+    ASSERT_EQ(g.num_edges(), static_cast<int64_t>(ref.edges.size()))
+        << "seed " << seed;
     std::vector<std::vector<int32_t>> in(g.num_nodes()), out(g.num_nodes());
     for (size_t i = 0; i < ref.edges.size(); ++i) {
-      const TraceEdge& e = g.edges()[i];
+      const TraceEdge e = g.edge(static_cast<int32_t>(i));
       EXPECT_EQ(std::make_tuple(e.from, e.to, e.type, e.t.begin, e.t.end),
                 ref.edges[i])
           << "seed " << seed << " edge " << i;
@@ -363,6 +497,135 @@ TEST(TraceGraphTest, MergeEdgeMatchesReferenceModel) {
       EXPECT_EQ(g.InEdges(id), in[i]) << "seed " << seed;
     }
   }
+}
+
+TEST(LineageBlockTest, RowsAndEdgesAreLogicalNodesAndEdges) {
+  TraceGraph g = BuildBlockTrace();
+  ASSERT_EQ(g.num_nodes(), 6);
+  ASSERT_EQ(g.num_edges(), 7);
+  EXPECT_EQ(g.node(4).label, "q#0");
+  EXPECT_EQ(g.node(5).type, NodeType::kTuple);
+  EXPECT_EQ(g.FindNode(NodeType::kTuple, "q#1"), 5);
+  EXPECT_EQ(g.FindNode(NodeType::kTuple, "q#2"), kInvalidNode);
+  EXPECT_EQ(g.FindNode(NodeType::kTuple, "q#01"), kInvalidNode);
+  EXPECT_EQ(g.GetOrAddNode(NodeType::kTuple, "q#0"), 4);
+  EXPECT_EQ(g.num_nodes(), 6);
+  // hasRead t0, hasRead t1, then per row hasReturned and readFromDb.
+  const std::vector<std::tuple<NodeId, NodeId, EdgeType>> want = {
+      {0, 1, EdgeType::kRun},         {2, 1, EdgeType::kHasRead},
+      {3, 1, EdgeType::kHasRead},     {1, 4, EdgeType::kHasReturned},
+      {4, 0, EdgeType::kReadFromDb},  {1, 5, EdgeType::kHasReturned},
+      {5, 0, EdgeType::kReadFromDb}};
+  for (int32_t i = 0; i < g.num_edges(); ++i) {
+    const TraceEdge e = g.edge(i);
+    EXPECT_EQ(std::make_tuple(e.from, e.to, e.type), want[i]) << i;
+    EXPECT_EQ(e.t.begin, 3);
+    EXPECT_EQ(e.t.end, 4);
+  }
+  EXPECT_EQ(g.InEdges(1), (std::vector<int32_t>{0, 1, 2}));
+  EXPECT_EQ(g.OutEdges(1), (std::vector<int32_t>{3, 5}));
+  EXPECT_EQ(g.InEdges(0), (std::vector<int32_t>{4, 6}));
+  EXPECT_EQ(g.OutEdges(3), (std::vector<int32_t>{2}));
+  EXPECT_EQ(g.InEdges(5), (std::vector<int32_t>{5}));
+  EXPECT_EQ(g.OutEdges(5), (std::vector<int32_t>{6}));
+  EXPECT_TRUE(g.HasTupleDependency(4, 2));
+  EXPECT_FALSE(g.HasTupleDependency(5, 2));
+  EXPECT_EQ(g.NodesOfType(NodeType::kTuple),
+            (std::vector<NodeId>{2, 3, 4, 5}));
+
+  // Nodes added after the block follow its rows.
+  NodeId f = g.GetOrAddNode(NodeType::kFile, "f");
+  EXPECT_EQ(f, 6);
+  ASSERT_TRUE(g.AddEdge(0, f, EdgeType::kHasWritten, {5, 6}).ok());
+  EXPECT_EQ(g.InEdges(0), (std::vector<int32_t>{4, 6}));
+  EXPECT_EQ(g.OutEdges(0), (std::vector<int32_t>{0, 7}));
+  EXPECT_EQ(g.node(f).label, "f");
+
+  // A block's rows and its statement's reads and results take no explicit
+  // edges.
+  EXPECT_FALSE(g.AddEdge(4, 0, EdgeType::kReadFromDb, {3, 4}).ok());
+  EXPECT_FALSE(g.MergeEdge(2, 1, EdgeType::kHasRead, {3, 4}).ok());
+  NodeId t9 = g.GetOrAddNode(NodeType::kTuple, "t9");
+  EXPECT_FALSE(g.AddEdge(1, t9, EdgeType::kHasReturned, {3, 4}).ok());
+  EXPECT_EQ(g.num_edges(), 8);
+}
+
+TEST(LineageBlockTest, OneRowAggregateListsEachInputOnceInFirstSeenOrder) {
+  // A one-row count(*) over n tuples, with every input listed three times in
+  // a scrambled order. Dropping repeats is linear: quadratic dedup would
+  // take ~10^9 steps here.
+  constexpr int32_t kInputs = 50000;
+  TraceGraph g;
+  NodeId p = g.GetOrAddNode(NodeType::kProcess, "P");
+  NodeId q = g.GetOrAddNode(NodeType::kQuery, "Q");
+  LineageBlock block;
+  block.stmt = q;
+  block.proc = p;
+  block.row_label_prefix = "q1#";
+  for (int32_t i = 0; i < kInputs; ++i) {
+    block.inputs.push_back(
+        g.GetOrAddNode(NodeType::kTuple, StrFormat("t%d", i)));
+  }
+  block.AddRow();
+  std::vector<NodeId> first_seen;
+  for (int pass = 0; pass < 3; ++pass) {
+    for (int32_t i = 0; i < kInputs; ++i) {
+      const int32_t input =
+          static_cast<int32_t>((int64_t{i} * 7919 + pass) % kInputs);
+      block.AddDependency(input);
+      if (pass == 0) first_seen.push_back(block.inputs[input]);
+    }
+  }
+  block.AddRow();  // a second row that repeats one input of the first
+  block.AddDependency(5);
+  block.AddDependency(5);
+  const NodeId fifth = block.inputs[5];
+  ASSERT_TRUE(g.AddLineageBlock(std::move(block)).ok());
+  const NodeId row = g.FindNode(NodeType::kTuple, "q1#0");
+  ASSERT_NE(row, kInvalidNode);
+  EXPECT_EQ(g.TupleDependenciesOf(row), first_seen);
+  EXPECT_EQ(g.TupleDependenciesOf(row + 1), std::vector<NodeId>{fifth});
+  EXPECT_EQ(g.blocks()[0].deps.size(), static_cast<size_t>(kInputs) + 1);
+}
+
+TEST(LineageBlockTest, AttachRejectsInconsistentBlocks) {
+  TraceGraph g;
+  NodeId p = g.GetOrAddNode(NodeType::kProcess, "P");
+  NodeId q = g.GetOrAddNode(NodeType::kQuery, "Q");
+  NodeId t0 = g.GetOrAddNode(NodeType::kTuple, "t0");
+  NodeId row_shaped = g.GetOrAddNode(NodeType::kTuple, "x#3");
+  auto valid = [&] {
+    LineageBlock block;
+    block.stmt = q;
+    block.proc = p;
+    block.row_label_prefix = "q#";
+    block.inputs = {t0};
+    block.AddRow();
+    block.AddDependency(0);
+    return block;
+  };
+  auto rejected = [&](auto mutate, const char* what) {
+    LineageBlock block = valid();
+    mutate(block);
+    Status s = g.AddLineageBlock(std::move(block));
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << what;
+  };
+  rejected([](LineageBlock& b) { b.row_label_prefix = "q"; }, "prefix");
+  rejected([](LineageBlock& b) { b.row_label_prefix = "x#"; },
+           "prefix of an explicit tuple label");
+  rejected([&](LineageBlock& b) { b.stmt = t0; }, "statement is a tuple");
+  rejected([&](LineageBlock& b) { b.proc = q; }, "process is a query");
+  rejected([&](LineageBlock& b) { b.inputs = {t0, t0}; }, "repeated input");
+  rejected([&](LineageBlock& b) { b.inputs = {p}; }, "input is a process");
+  rejected([](LineageBlock& b) { b.deps[0] = 1; }, "dependency index");
+  rejected([](LineageBlock& b) { b.row_offsets = {0, 2}; }, "offsets");
+  rejected([](LineageBlock& b) { b.t = {5, 4}; }, "interval");
+  EXPECT_EQ(g.num_nodes(), 4);
+  ASSERT_TRUE(g.AddLineageBlock(valid()).ok());
+  EXPECT_EQ(g.FindNode(NodeType::kTuple, "x#3"), row_shaped);
+  rejected([](LineageBlock&) {}, "second block on the statement");
+  NodeId q2 = g.GetOrAddNode(NodeType::kQuery, "Q2");
+  rejected([&](LineageBlock& b) { b.stmt = q2; }, "prefix taken");
 }
 
 TEST(ProvExportTest, Figure2ExportsAsValidProvJson) {
