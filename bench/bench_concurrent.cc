@@ -9,11 +9,10 @@
 //   - mixed: one writer streams autocommit UPDATEs while the remaining
 //     clients read (snapshot reads must keep flowing around the writer).
 //
-// Writes BENCH_CONCURRENT.json (path = argv[1], default
-// LDV_BENCH_CONCURRENT_OUT, default "BENCH_CONCURRENT.json");
-// tools/bench_smoke_check.py enforces the scaling gate: >= 3x read-only QPS
-// at 8 clients vs 1 on boxes with >= 4 hardware threads, a loud SKIP plus a
-// no-regression floor otherwise.
+// Writes the smoke record (bench/record.h) to argv[1], default
+// "BENCH_CONCURRENT.json"; tools/bench_smoke_check.py enforces the scaling
+// gate: >= 3x read-only QPS at 8 clients vs 1 on boxes with >= 4 hardware
+// threads, a loud SKIP plus a no-regression floor otherwise.
 
 #include <atomic>
 #include <cstdio>
@@ -23,7 +22,7 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "common/json.h"
+#include "record.h"
 #include "net/db_client.h"
 #include "net/db_server.h"
 #include "storage/database.h"
@@ -174,9 +173,7 @@ MixedResult MixedQps(const std::string& socket_path, int clients) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_CONCURRENT.json";
-  if (const char* env = std::getenv("LDV_BENCH_CONCURRENT_OUT")) out = env;
-  if (argc > 1) out = argv[1];
+  const std::string out = argc > 1 ? argv[1] : "BENCH_CONCURRENT.json";
 
   // Serial statements: the curve must measure inter-query parallelism, not
   // morsel fan-out.
@@ -204,13 +201,12 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  ldv::Json read_only = ldv::Json::MakeObject();
+  std::map<std::string, double> values;
   for (int clients : {1, 2, 4, 8}) {
     const double qps = ReadOnlyQps(socket_path, clients);
     std::printf("bench_concurrent: read_only clients=%d %.0f qps\n", clients,
                 qps);
-    read_only.Set("clients_" + std::to_string(clients),
-                  ldv::Json::MakeDouble(qps));
+    values["read_qps_clients_" + std::to_string(clients)] = qps;
   }
   const MixedResult mixed = MixedQps(socket_path, 8);
   std::printf("bench_concurrent: mixed clients=8 %.0f reads/s %.0f writes/s\n",
@@ -219,24 +215,7 @@ int main(int argc, char** argv) {
   server.Stop();
   (void)ldv::RemoveAll(*dir);
 
-  ldv::Json mixed_doc = ldv::Json::MakeObject();
-  mixed_doc.Set("clients", ldv::Json::MakeInt(8));
-  mixed_doc.Set("reads_per_sec", ldv::Json::MakeDouble(mixed.reads_per_sec));
-  mixed_doc.Set("writes_per_sec",
-                ldv::Json::MakeDouble(mixed.writes_per_sec));
-  ldv::Json doc = ldv::Json::MakeObject();
-  doc.Set("hardware_threads",
-          ldv::Json::MakeInt(std::thread::hardware_concurrency()));
-  doc.Set("rows", ldv::Json::MakeInt(kRows));
-  doc.Set("duration_ms", ldv::Json::MakeInt(kRunNanos / 1'000'000));
-  doc.Set("read_only", std::move(read_only));
-  doc.Set("mixed", std::move(mixed_doc));
-  ldv::Status written = ldv::WriteStringToFile(out, doc.Dump(true) + "\n");
-  if (!written.ok()) {
-    std::fprintf(stderr, "bench_concurrent: %s\n",
-                 written.ToString().c_str());
-    return 1;
-  }
-  std::printf("bench_concurrent: wrote %s\n", out.c_str());
-  return 0;
+  values["mixed_reads_per_sec"] = mixed.reads_per_sec;
+  values["mixed_writes_per_sec"] = mixed.writes_per_sec;
+  return ldv::bench::WriteRecord(out, "concurrent", values);
 }

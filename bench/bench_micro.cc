@@ -1,10 +1,19 @@
 // Micro-benchmarks (google-benchmark) of the components the paper's numbers
 // rest on: SQL parsing, LIKE matching, scan+filter execution, hash joins,
 // the Lineage overhead of provenance mode, the network protocol round trip,
-// trace serialization, and dependency inference.
+// trace serialization, dependency inference, the observability primitives,
+// group commit, morsel-parallel operators and the columnar kernel shapes.
+//
+//   ./build/bench/bench_micro [--benchmark_filter=...] [RECORD.json]
+//
+// Given a record path, also runs the resource-governance latency probe and
+// writes every run's real time and items/s, the parallel curve and the
+// probe's latencies as a smoke record (bench/record.h) for
+// tools/bench_smoke_check.py.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -17,12 +26,12 @@
 #include "common/json.h"
 #include "common/logging.h"
 #include "exec/governor.h"
-#include "harness.h"
 #include "exec/executor.h"
 #include "net/db_client.h"
 #include "net/protocol.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "record.h"
 #include "sql/parser.h"
 #include "storage/database.h"
 #include "storage/wal.h"
@@ -336,10 +345,9 @@ BENCHMARK(BM_WalCommit)
 // --- Morsel-driven parallel execution: serial-vs-parallel throughput of
 // the hot operators over a table big enough (~150k rows, ~75 morsels) that
 // fan-out dominates coordination. Each run records its point on the
-// threads-vs-throughput curve; main() writes BENCH_PARALLEL.json when
-// LDV_BENCH_PARALLEL_OUT is set and tools/bench_smoke_check.py enforces the
-// scaling bound (hardware-aware: on single-core boxes only no-regression
-// is checked). ---
+// threads-vs-throughput curve (ParallelCurve), which the smoke record
+// carries; tools/bench_smoke_check.py enforces the scaling bound
+// (hardware-aware: on single-core boxes only no-regression is checked). ---
 
 constexpr int64_t kParallelBenchRows = 150'000;
 
@@ -378,34 +386,42 @@ ldv::storage::Database* ParallelBenchDb() {
   return db;
 }
 
-/// Runs `sql` at the benchmark's threads arg, reporting rows scanned per
-/// second and recording the (threads, throughput) point on `curve`.
-void RunParallelQueryBench(benchmark::State& state, const char* curve,
-                           const std::string& sql) {
+/// Best wall-clock rows/s per "parallel.<curve>.threads_<n>" over gbench's
+/// repeated invocations of a parallel benchmark (its iteration counts grow
+/// from a cold first pass, which is not the curve). The work runs on pool
+/// threads, so the timing thread's CPU-time rate would overstate it.
+std::map<std::string, double>& ParallelCurve() {
+  static auto* curve = new std::map<std::string, double>();
+  return *curve;
+}
+
+/// Runs `sql` at `threads` (the benchmark's arg when 0), reporting rows
+/// scanned per second; a named `curve` also records its wall-clock point.
+void RunQueryBench(benchmark::State& state, const std::string& sql,
+                   int threads, const char* curve = nullptr) {
   ldv::exec::Executor executor(ParallelBenchDb());
   ldv::exec::ExecOptions options;
-  options.threads = static_cast<int>(state.range(0));
+  options.threads = threads > 0 ? threads : static_cast<int>(state.range(0));
   const int64_t start = ldv::NowNanos();
   for (auto _ : state) {
     auto result = executor.Execute(sql, options);
     LDV_CHECK(result.ok());
     benchmark::DoNotOptimize(result->rows.size());
   }
-  const double seconds =
-      static_cast<double>(ldv::NowNanos() - start) / 1e9;
+  const double seconds = static_cast<double>(ldv::NowNanos() - start) / 1e9;
   const int64_t items =
       static_cast<int64_t>(state.iterations()) * kParallelBenchRows;
   state.SetItemsProcessed(items);
-  if (seconds > 0) {
-    ldv::bench::ParallelCurve::Global().Record(
-        curve, static_cast<int>(state.range(0)),
-        static_cast<double>(items) / seconds);
+  if (curve != nullptr && seconds > 0) {
+    double& best = ParallelCurve()[ldv::StrFormat(
+        "parallel.%s.threads_%d", curve, options.threads)];
+    best = std::max(best, static_cast<double>(items) / seconds);
   }
 }
 
 void BM_ParallelScan(benchmark::State& state) {
-  RunParallelQueryBench(state, "scan",
-                        "SELECT id, val * 2 FROM wide WHERE grp < 50");
+  RunQueryBench(state, "SELECT id, val * 2 FROM wide WHERE grp < 50", 0,
+                "scan");
 }
 BENCHMARK(BM_ParallelScan)
     ->ArgNames({"threads"})
@@ -415,9 +431,10 @@ BENCHMARK(BM_ParallelScan)
     ->Arg(8);
 
 void BM_ParallelHashJoin(benchmark::State& state) {
-  RunParallelQueryBench(
-      state, "hash_join",
-      "SELECT w.id, d.w FROM wide w, dims d WHERE w.grp = d.g AND d.w > 10");
+  RunQueryBench(
+      state,
+      "SELECT w.id, d.w FROM wide w, dims d WHERE w.grp = d.g AND d.w > 10",
+      0, "hash_join");
 }
 BENCHMARK(BM_ParallelHashJoin)
     ->ArgNames({"threads"})
@@ -427,9 +444,9 @@ BENCHMARK(BM_ParallelHashJoin)
     ->Arg(8);
 
 void BM_ParallelAgg(benchmark::State& state) {
-  RunParallelQueryBench(
-      state, "agg",
-      "SELECT grp, count(*), sum(val), min(val) FROM wide GROUP BY grp");
+  RunQueryBench(
+      state, "SELECT grp, count(*), sum(val), min(val) FROM wide GROUP BY grp",
+      0, "agg");
 }
 BENCHMARK(BM_ParallelAgg)
     ->ArgNames({"threads"})
@@ -438,11 +455,24 @@ BENCHMARK(BM_ParallelAgg)
     ->Arg(4)
     ->Arg(8);
 
+// --- Columnar kernel shapes at one thread (DESIGN.md §15) that the scan,
+// join and aggregate benchmarks above do not cover: input rows/s. ---
+
+void BM_Kernel(benchmark::State& state, const char* sql) {
+  RunQueryBench(state, sql, 1);
+}
+BENCHMARK_CAPTURE(BM_Kernel, project_arith,
+                  "SELECT id * 2 + grp, val * 0.5, val + id FROM wide");
+BENCHMARK_CAPTURE(BM_Kernel, distinct, "SELECT DISTINCT grp, pad FROM wide");
+BENCHMARK_CAPTURE(BM_Kernel, scan_filter_agg,
+                  "SELECT grp, count(*), sum(val) FROM wide WHERE val < 750 "
+                  "GROUP BY grp");
+
 // --- Resource-governance latency probe (DESIGN.md §11): how fast a
 // mid-scan statement unwinds after a cancel lands, and how far past its
 // deadline a statement overshoots, at threads 1 and 8 over the 150k-row
 // table. Not a google-benchmark (the interesting number is one latency, not
-// a throughput): main() runs it when LDV_BENCH_GOVERNANCE_OUT is set and
+// a throughput): main() runs it when a record path is given and
 // tools/bench_smoke_check.py enforces the <=100 ms acceptance bound. ---
 
 /// Cross join whose predicate never matches (val and w are non-negative):
@@ -499,25 +529,14 @@ double GovernanceDeadlineOvershootMs(int threads) {
   return overshoot > 0 ? overshoot : 0.0;
 }
 
-int RunGovernanceProbe(const char* path) {
-  ldv::Json cancel = ldv::Json::MakeObject();
-  ldv::Json overshoot = ldv::Json::MakeObject();
+void AddGovernanceProbe(std::map<std::string, double>* values) {
   for (int threads : {1, 8}) {
-    const std::string key = "threads_" + std::to_string(threads);
-    cancel.Set(key, ldv::Json::MakeDouble(GovernanceCancelLatencyMs(threads)));
-    overshoot.Set(
-        key, ldv::Json::MakeDouble(GovernanceDeadlineOvershootMs(threads)));
+    const std::string suffix = ".threads_" + std::to_string(threads);
+    (*values)["governance.cancel_ms" + suffix] =
+        GovernanceCancelLatencyMs(threads);
+    (*values)["governance.deadline_overshoot_ms" + suffix] =
+        GovernanceDeadlineOvershootMs(threads);
   }
-  ldv::Json doc = ldv::Json::MakeObject();
-  doc.Set("rows", ldv::Json::MakeInt(kParallelBenchRows));
-  doc.Set("cancel_latency_ms", std::move(cancel));
-  doc.Set("deadline_overshoot_ms", std::move(overshoot));
-  ldv::Status written = ldv::WriteStringToFile(path, doc.Dump(true) + "\n");
-  if (!written.ok()) {
-    std::fprintf(stderr, "bench_micro: %s\n", written.ToString().c_str());
-    return 1;
-  }
-  return 0;
 }
 
 void BM_TpchGenerate(benchmark::State& state) {
@@ -531,35 +550,42 @@ void BM_TpchGenerate(benchmark::State& state) {
 }
 BENCHMARK(BM_TpchGenerate);
 
-}  // namespace
-
-// Hand-rolled main (instead of BENCHMARK_MAIN) so a run can double as a
-// metrics source: LDV_METRICS_OUT=<path> dumps the global registry snapshot
-// after the benchmarks finish (used by `tools/check.sh --bench-smoke`).
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  if (const char* path = std::getenv("LDV_METRICS_OUT")) {
-    ldv::Status written = ldv::obs::WriteGlobalMetrics(path);
-    if (!written.ok()) {
-      std::fprintf(stderr, "bench_micro: %s\n", written.ToString().c_str());
-      return 1;
-    }
-  }
-  if (const char* path = std::getenv("LDV_BENCH_GOVERNANCE_OUT")) {
-    int failed = RunGovernanceProbe(path);
-    if (failed != 0) return failed;
-  }
-  if (const char* path = std::getenv("LDV_BENCH_PARALLEL_OUT")) {
-    if (!ldv::bench::ParallelCurve::Global().empty()) {
-      ldv::Status written = ldv::bench::ParallelCurve::Global().WriteTo(path);
-      if (!written.ok()) {
-        std::fprintf(stderr, "bench_micro: %s\n", written.ToString().c_str());
-        return 1;
+/// The console reporter, also keeping each run's real time (ns) and items/s
+/// for the smoke record.
+class RecordingReporter final : public benchmark::ConsoleReporter {
+ public:
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) {
+      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
+      const std::string name = run.benchmark_name();
+      values[name + ".real_ns"] =
+          run.GetAdjustedRealTime() * 1e9 /
+          benchmark::GetTimeUnitMultiplier(run.time_unit);
+      auto items = run.counters.find("items_per_second");
+      if (items != run.counters.end()) {
+        values[name + ".items_per_second"] = items->second.value;
       }
     }
+    ConsoleReporter::ReportRuns(runs);
   }
-  return 0;
+
+  std::map<std::string, double> values;
+};
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  // What gbench left is the record path; a leftover flag is a mistyped one.
+  if (argc > 2 || (argc == 2 && argv[1][0] == '-')) {
+    std::fprintf(stderr, "usage: bench_micro [--benchmark_*...] [RECORD]\n");
+    return 2;
+  }
+  RecordingReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
+  benchmark::Shutdown();
+  if (argc < 2) return 0;
+  reporter.values.insert(ParallelCurve().begin(), ParallelCurve().end());
+  AddGovernanceProbe(&reporter.values);
+  return ldv::bench::WriteRecord(argv[1], "micro", reporter.values);
 }

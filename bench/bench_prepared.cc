@@ -10,8 +10,8 @@
 // and morsel fan-out would add identical constants to both sides and dilute
 // the ratio being measured.
 //
-// Writes BENCH_PREPARED.json (path = argv[1], default LDV_BENCH_PREPARED_OUT,
-// default "BENCH_PREPARED.json"); tools/bench_smoke_check.py enforces the
+// Writes the smoke record (bench/record.h) to argv[1], default
+// "BENCH_PREPARED.json"; tools/bench_smoke_check.py enforces the
 // repeated-statement bound: >= 2x EXECUTE QPS vs literal QPS on boxes with
 // >= 4 hardware threads, a loud SKIP plus a no-regression floor otherwise.
 
@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "common/json.h"
+#include "record.h"
 #include "exec/plan_cache.h"
 #include "net/db_client.h"
 #include "storage/database.h"
@@ -100,9 +100,7 @@ double MeasureQps(Fn fn) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_PREPARED.json";
-  if (const char* env = std::getenv("LDV_BENCH_PREPARED_OUT")) out = env;
-  if (argc > 1) out = argv[1];
+  const std::string out = argc > 1 ? argv[1] : "BENCH_PREPARED.json";
 
   // Serial execution: the ratio must isolate parse/plan savings, not morsel
   // scheduling.
@@ -145,22 +143,7 @@ int main(int argc, char** argv) {
       "bench_prepared: literal %.0f qps, execute %.0f qps = %.2fx\n",
       literal_qps, execute_qps, speedup);
 
-  ldv::Json doc = ldv::Json::MakeObject();
-  doc.Set("hardware_threads",
-          ldv::Json::MakeInt(std::thread::hardware_concurrency()));
-  doc.Set("rows", ldv::Json::MakeInt(kRows));
-  doc.Set("duration_ms", ldv::Json::MakeInt(kRunNanos / 1'000'000));
-  doc.Set("literal_qps", ldv::Json::MakeDouble(literal_qps));
-  doc.Set("execute_qps", ldv::Json::MakeDouble(execute_qps));
-  doc.Set("speedup", ldv::Json::MakeDouble(speedup));
-  doc.Set("plan_cache_entries",
-          ldv::Json::MakeInt(
-              static_cast<int64_t>(ldv::exec::PlanCache::Global().entries())));
-  ldv::Status written = ldv::WriteStringToFile(out, doc.Dump(true) + "\n");
-  if (!written.ok()) {
-    std::fprintf(stderr, "bench_prepared: %s\n", written.ToString().c_str());
-    return 1;
-  }
-  std::printf("bench_prepared: wrote %s\n", out.c_str());
-  return 0;
+  return ldv::bench::WriteRecord(
+      out, "prepared",
+      {{"literal_qps", literal_qps}, {"execute_qps", execute_qps}});
 }

@@ -12,8 +12,8 @@
 //      successful write through a RetryingDbClient::ForEndpoints client
 //      configured [primary, standby], with the standby promoted in between.
 //
-// Writes BENCH_REPL.json (path = argv[1], default LDV_BENCH_REPL_OUT,
-// default "BENCH_REPL.json"); tools/bench_smoke_check.py enforces
+// Writes the smoke record (bench/record.h) to argv[1], default
+// "BENCH_REPL.json"; tools/bench_smoke_check.py enforces
 // failover <= 2 s and standby reads >= 0.8x primary on boxes with >= 4
 // hardware threads, a loud SKIP plus relaxed floors otherwise.
 
@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "common/json.h"
+#include "record.h"
 #include "exec/wal_redo.h"
 #include "net/db_client.h"
 #include "net/db_server.h"
@@ -148,9 +148,7 @@ int Fail(const char* what, const Status& status) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_REPL.json";
-  if (const char* env = std::getenv("LDV_BENCH_REPL_OUT")) out = env;
-  if (argc > 1) out = argv[1];
+  const std::string out = argc > 1 ? argv[1] : "BENCH_REPL.json";
 
   Result<std::string> root = ldv::MakeTempDir("bench_repl");
   if (!root.ok()) return Fail("mktemp", root.status());
@@ -243,22 +241,13 @@ int main(int argc, char** argv) {
       primary_read_qps, standby_read_qps, read_ratio, failover_ms,
       static_cast<long long>(client->failovers()));
 
-  ldv::Json doc = ldv::Json::MakeObject();
-  doc.Set("hardware_threads",
-          ldv::Json::MakeInt(std::thread::hardware_concurrency()));
-  doc.Set("rows", ldv::Json::MakeInt(kLoadRows));
-  doc.Set("write_qps", ldv::Json::MakeDouble(write_qps));
-  doc.Set("steady_lag_mean_lsn", ldv::Json::MakeDouble(lag_mean));
-  doc.Set("steady_lag_max_lsn",
-          ldv::Json::MakeInt(static_cast<int64_t>(lag_max)));
-  doc.Set("primary_read_qps", ldv::Json::MakeDouble(primary_read_qps));
-  doc.Set("standby_read_qps", ldv::Json::MakeDouble(standby_read_qps));
-  doc.Set("standby_read_ratio", ldv::Json::MakeDouble(read_ratio));
-  doc.Set("failover_ms", ldv::Json::MakeDouble(failover_ms));
-  doc.Set("endpoint_rotations", ldv::Json::MakeInt(client->failovers()));
-  Status written = ldv::WriteStringToFile(out, doc.Dump(true) + "\n");
-  if (!written.ok()) return Fail("write output", written);
-  std::printf("bench_repl: wrote %s\n", out.c_str());
   (void)ldv::RemoveAll(*root);
-  return 0;
+  return ldv::bench::WriteRecord(
+      out, "repl",
+      {{"write_qps", write_qps},
+       {"steady_lag_mean_lsn", lag_mean},
+       {"steady_lag_max_lsn", static_cast<double>(lag_max)},
+       {"primary_read_qps", primary_read_qps},
+       {"standby_read_qps", standby_read_qps},
+       {"failover_ms", failover_ms}});
 }

@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
     audit.mode = mode;
     audit.package_dir = work + "/package_" + name;
     audit.sandbox_root = sandbox;
-    audit.server_binary_path = ldv::FindLdvServerBinary();
+    audit.server_binary_path = ldv::FindPackagedServerBinary();
     ldv::Auditor auditor(&db, audit);
     auto report = auditor.Run(HaloFinder);
     if (!report.ok()) return Fail(report.status());

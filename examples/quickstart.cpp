@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   audit.mode = ldv::PackageMode::kServerIncluded;
   audit.package_dir = work + "/package";
   audit.sandbox_root = work + "/alice";
-  audit.server_binary_path = ldv::FindLdvServerBinary();
+  audit.server_binary_path = ldv::FindPackagedServerBinary();
   if (auto s = ldv::WriteStringToFile(audit.sandbox_root + "/config.txt",
                                       "50\n");
       !s.ok()) {

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
     audit.mode = mode;
     audit.package_dir = *work + "/pkg_" + name;
     audit.sandbox_root = *work + "/sandbox_" + name;
-    audit.server_binary_path = ldv::FindLdvServerBinary();
+    audit.server_binary_path = ldv::FindPackagedServerBinary();
     ldv::VmImageModel vm({.scale = sf});
     audit.vm_base_image_bytes = vm.ScaledBaseImageBytes();
     if (auto s = ldv::MakeDirs(audit.sandbox_root); !s.ok()) return Fail(s);

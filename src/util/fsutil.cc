@@ -241,6 +241,13 @@ std::string FindLdvServerBinary() {
   return "";
 }
 
+std::string FindPackagedServerBinary() {
+  const std::string server = FindLdvServerBinary();
+  if (server.empty()) return server;
+  const std::string packaged = server + ".packaged";
+  return FileExists(packaged) ? packaged : server;
+}
+
 Result<std::string> MakeTempDir(const std::string& prefix) {
   std::string tmpl = (fs::temp_directory_path() / (prefix + "XXXXXX")).string();
   std::vector<char> buf(tmpl.begin(), tmpl.end());

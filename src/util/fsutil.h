@@ -65,9 +65,15 @@ Result<std::string> MakeTempDir(const std::string& prefix);
 std::string SelfExeDir();
 
 /// Locates the built `ldv_server` binary relative to the running executable
-/// (tools/ldv_server in the build tree); returns "" when not found. Packages
-/// embed this as their DB server binary; callers fall back to a placeholder.
+/// (tools/ldv_server in the build tree); returns "" when not found.
 std::string FindLdvServerBinary();
+
+/// The DB server binary a package ships (server-included, PTU and VM-image
+/// modes, via AuditOptions::server_binary_path): `ldv_server.packaged`, the
+/// copy the build strips of symbols and debug info, as a release package
+/// would carry it. Falls back to FindLdvServerBinary() when the build had no
+/// strip tool; "" when neither exists, so the auditor writes its placeholder.
+std::string FindPackagedServerBinary();
 
 }  // namespace ldv
 

@@ -1,6 +1,6 @@
 // CLI flag validation: zero/negative duration flags and a negative plan
 // cache bound are usage errors (exit 2) on both binaries, not silent
-// misbehavior.
+// misbehavior. Also checks the server binary `ldv audit` packages.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "ldv/manifest.h"
 #include "util/fsutil.h"
 
 namespace ldv {
@@ -89,6 +90,25 @@ TEST_F(CliFlagsTest, CliRejectsNegativePlanCacheEntries) {
 
 TEST_F(CliFlagsTest, HelpStillWorks) {
   EXPECT_EQ(RunBinary(ServerBinary(), {"--help"}), 0);
+}
+
+TEST_F(CliFlagsTest, AuditShipsAStrippedServerThatStillRuns) {
+  auto dir = MakeTempDir("cli_flags_audit_");
+  ASSERT_TRUE(dir.ok());
+  const std::string package = JoinPath(*dir, "pkg");
+  ASSERT_EQ(RunBinary(CliBinary(), {"audit", "--mode", "server-included",
+                                    "--query", "Q1-1", "--sf", "0.001",
+                                    "--out", package}),
+            0);
+  const std::string packaged =
+      JoinPath(package, std::string(kServerBinaryFile));
+  auto packaged_bytes = FileSize(packaged);
+  auto build_bytes = FileSize(ServerBinary());
+  ASSERT_TRUE(packaged_bytes.ok());
+  ASSERT_TRUE(build_bytes.ok());
+  EXPECT_LT(*packaged_bytes, *build_bytes);
+  EXPECT_EQ(RunBinary(packaged, {"--help"}), 0);
+  (void)RemoveAll(*dir);
 }
 
 }  // namespace

@@ -125,6 +125,34 @@ TEST(MetricsRegistryTest, SnapshotToJsonShape) {
   ASSERT_TRUE(parsed.ok());
 }
 
+// WriteGlobalMetrics is what `ldv_server --metrics-out` writes: the global
+// registry with all three sections, and a latency histogram's buckets.
+TEST(MetricsRegistryTest, WriteGlobalMetricsWritesLatencyBuckets) {
+  MetricsRegistry::Global().latency_histogram("obs_test.latency")->Observe(42);
+  auto dir = MakeTempDir("obs_test_metrics_");
+  ASSERT_TRUE(dir.ok());
+  const std::string path = JoinPath(*dir, "metrics.json");
+  ASSERT_TRUE(WriteGlobalMetrics(path).ok());
+  auto text = ReadFileToString(path);
+  ASSERT_TRUE(text.ok());
+  auto parsed = Json::Parse(*text);
+  ASSERT_TRUE(parsed.ok()) << *text;
+  for (const char* section : {"counters", "gauges", "histograms"}) {
+    const Json* found = parsed->Find(section);
+    ASSERT_NE(found, nullptr) << section;
+    EXPECT_TRUE(found->is_object()) << section;
+  }
+  const Json* histogram =
+      parsed->Find("histograms")->Find("obs_test.latency");
+  ASSERT_NE(histogram, nullptr) << *text;
+  const Json* buckets = histogram->Find("buckets");
+  ASSERT_NE(buckets, nullptr);
+  ASSERT_TRUE(buckets->is_array());
+  EXPECT_EQ(buckets->AsArray().size(), LatencyBucketsMicros().size() + 1);
+  EXPECT_EQ(histogram->GetInt("count", 0), 1);
+  (void)RemoveAll(*dir);
+}
+
 TEST(MetricsRegistryTest, DeltaReportShowsOnlyChangedMetrics) {
   MetricsRegistry registry;
   Counter* moved = registry.counter("moved");

@@ -244,7 +244,7 @@ int CmdAudit(const Flags& flags) {
   options.mode = *mode;
   options.package_dir = flags.named.at("out");
   options.sandbox_root = options.package_dir + ".sandbox";
-  options.server_binary_path = ldv::FindLdvServerBinary();
+  options.server_binary_path = ldv::FindPackagedServerBinary();
   if (flags.named.count("db-socket")) {
     options.db_socket_path = flags.named.at("db-socket");
   }
